@@ -167,22 +167,40 @@ def green_kernel(z, x, y):
     return complex(np.exp(1j * complex(z) * r) / (FOUR_PI * r))
 
 
+def _gamma_and_phase(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma at a batch of spectral parameters, and the phase factors
+    exp(i z d_jk) it was built from (ones on the diagonal).
+
+    The one place the characteristic-matrix formula lives: the stack and
+    pair functions below share it, so each entry costs a single exp.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    d = cfg.distances
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.exp(1j * zs[..., None, None] * d)
+        out = -phase
+        out /= FOUR_PI * d  # in place: no third full-size array
+    idx = np.arange(cfg.n)
+    out[..., idx, idx] = cfg.alpha - 1j * zs[..., None] / FOUR_PI
+    return out, phase
+
+
 def gamma_stack(cfg: PointConfig, zs) -> np.ndarray:
     """Entries of the characteristic matrix at a batch of spectral parameters.
 
     `zs` may have any shape; the result has shape zs.shape + (N, N).
     """
-    zs = np.asarray(zs, dtype=complex)
-    n = cfg.n
-    d = cfg.distances
-    zb = zs[..., None, None]
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coupling = -np.exp(1j * zb * d) / (FOUR_PI * d)
-    out = np.where(off, coupling, 0.0)
-    idx = np.arange(n)
-    out[..., idx, idx] = cfg.alpha - 1j * zs[..., None] / FOUR_PI
-    return out
+    return _gamma_and_phase(cfg, zs)[0]
+
+
+def gamma_pair_stack(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(z) and its entrywise z-derivative Gamma'(z) at a batch of z.
+
+    Both have shape zs.shape + (N, N) and share one exp per entry.  Gamma' is
+    -i/4pi on the diagonal and -i exp(i z d)/4pi off it.
+    """
+    g, phase = _gamma_and_phase(cfg, zs)
+    return g, -1j * phase / FOUR_PI
 
 
 def gamma_entries(cfg: PointConfig, z) -> np.ndarray:
@@ -196,12 +214,7 @@ def assemble_gamma(cfg: PointConfig, z) -> GammaMatrix:
 
 def gamma_derivative(cfg: PointConfig, z) -> np.ndarray:
     """Entrywise z-derivative: -i/4pi on the diagonal, -i exp(i z d)/4pi off it."""
-    return -1j * np.exp(1j * complex(z) * cfg.distances) / FOUR_PI
-
-
-def gamma_derivative_stack(cfg: PointConfig, zs) -> np.ndarray:
-    zs = np.asarray(zs, dtype=complex)
-    return -1j * np.exp(1j * zs[..., None, None] * cfg.distances) / FOUR_PI
+    return gamma_pair_stack(cfg, complex(z))[1]
 
 
 def gamma_imag_axis(cfg: PointConfig, lam: float) -> np.ndarray:

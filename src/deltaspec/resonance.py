@@ -5,7 +5,11 @@ integral of tr(Gamma^-1 Gamma') over a rectangle boundary is the enclosed
 zero count.  Counting drives a quadrisection search whose leaves are
 polished by Newton steps on log det.  The trace form is used throughout
 because det Gamma is an exponential polynomial that overflows at large
-|Im z| while the logarithmic derivative stays tame.
+|Im z| while the logarithmic derivative stays tame.  The adaptive edge
+quadrature refines the edges of all boxes counted together breadth-first,
+one batched solve per refinement level; it builds the same panel tree and
+gives the same results, bit for bit, as the recursive rule applied one edge
+at a time.
 
 The certificate scans the positive real axis up to the analytic
 large-momentum bound, recording the smallest singular value of Gamma(z) and
@@ -15,6 +19,7 @@ bound the row-sum estimate itself certifies invertibility.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +36,12 @@ _EDGE_SAMPLES = 64
 # from a contour edge (the Gauss rule needs panels comparable to the pole
 # clearance before it converges).
 _MAX_EDGE_DEPTH = 26
+_EDGE_TOL = 2.0 * np.pi * 2.5e-4
 _POLISH_DIAMETER = 1e-3
 _NEWTON_MAX_STEPS = 50
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+logger = logging.getLogger(__name__)
 
 RESONANCE = "resonance"
 EIGENVALUE_POLE = "eigenvalue_pole"
@@ -152,54 +160,128 @@ class ResonanceSet:
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
     """tr(Gamma(z)^-1 Gamma'(z)) for a batch of z values."""
-    zs = np.asarray(zs, dtype=complex)
-    g = model.gamma_stack(cfg, zs)
-    dg = model.gamma_derivative_stack(cfg, zs)
-    x = np.linalg.solve(g, dg)
-    return np.trace(x, axis1=-2, axis2=-1)
+    g, dg = model.gamma_pair_stack(cfg, zs)
+    return np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
 
 
-def _edge_quad(cfg, za: complex, zb: complex, tol: float, depth: int) -> complex:
-    def panel(a, b):
-        zm = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
-        try:
-            vals = _trace_logdet(cfg, zm)
-        except np.linalg.LinAlgError:
-            raise SubdivisionError("quadrature node hit a singular matrix")
-        if not np.all(np.isfinite(vals)):
-            raise SubdivisionError("quadrature node hit a singular matrix")
-        return 0.5 * (b - a) * np.sum(_GL_W * vals)
+def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray):
+    """16-node Gauss-Legendre integrals of tr(Gamma^-1 Gamma') over the panels
+    a[i] -> b[i], and a mask of the panels with a singular or non-finite node.
 
-    mid = 0.5 * (za + zb)
-    whole = panel(za, zb)
-    parts = panel(za, mid) + panel(mid, zb)
-    if abs(whole - parts) < tol:
-        return parts
-    if depth >= _MAX_EDGE_DEPTH:
-        raise SubdivisionError("edge quadrature exceeded maximum depth")
-    return _edge_quad(cfg, za, mid, 0.5 * tol, depth + 1) + _edge_quad(
-        cfg, mid, zb, 0.5 * tol, depth + 1
-    )
+    All panels share one solve.  When it hits an exactly singular matrix the
+    panels are evaluated one by one, so only the panel holding that node fails.
+    """
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    try:
+        vals = _trace_logdet(cfg, nodes)
+    except np.linalg.LinAlgError:
+        vals = np.full(nodes.shape, np.nan, dtype=complex)
+        for i, zm in enumerate(nodes):
+            try:
+                vals[i] = _trace_logdet(cfg, zm)
+            except np.linalg.LinAlgError:
+                pass  # left non-finite: the panel fails
+    s = np.sum(_GL_W * vals, axis=1)
+    # half * s written out: numpy's vectorised complex multiply may fuse
+    # multiply-adds, and the values must match the scalar product exactly.
+    out = np.empty_like(s)
+    out.real = half.real * s.real - half.imag * s.imag
+    out.imag = half.real * s.imag + half.imag * s.real
+    return out, ~np.isfinite(vals).all(axis=1)
 
 
-def _boundary_admissible(cfg: PointConfig, box: Box) -> bool:
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ..."""
+    return np.stack([x, y], axis=1).ravel()
+
+
+def _edge_integrals(cfg: PointConfig, contours) -> list[np.ndarray | None]:
+    """Integrals of tr(Gamma^-1 Gamma') along every edge (za, zb) of each
+    contour; None for a contour whose quadrature failed.
+
+    The adaptive rule accepts a panel when the sum of its two halves agrees
+    with the whole panel to within tol, and otherwise refines both halves with
+    tol / 2, down to depth _MAX_EDGE_DEPTH.  Panels are refined breadth-first:
+    each level evaluates the halves of every open panel of every contour in
+    one batch, and a half becomes its child's whole panel.  Accepted values
+    are summed back up the panel tree in depth-first order, so each integral
+    is bit for bit the one the recursive rule gives.  A singular node or a
+    panel still open at the depth limit fails only its own contour.
+    """
+    owner = np.array([c for c, edges in enumerate(contours) for _ in edges], dtype=int)
+    a = np.array([za for edges in contours for za, _ in edges], dtype=complex)
+    b = np.array([zb for edges in contours for _, zb in edges], dtype=complex)
+    tol = np.full(a.size, _EDGE_TOL)
+    failed = np.zeros(len(contours), dtype=bool)
+    whole = None
+    levels = []  # per level: value of each panel, indices of the refined ones
+    for depth in range(_MAX_EDGE_DEPTH + 1):
+        mid = 0.5 * (a + b)
+        lo, hi = np.concatenate([a, mid]), np.concatenate([mid, b])
+        if whole is None:
+            lo, hi = np.concatenate([a, lo]), np.concatenate([b, hi])
+        sums, bad = _panel_integrals(cfg, lo, hi)
+        sums, bad = sums.reshape(-1, a.size), bad.reshape(-1, a.size)
+        failed[owner[bad.any(axis=0)]] = True
+        if whole is None:
+            whole = sums[0]
+        left, right = sums[-2], sums[-1]
+        parts = left + right
+        diff = whole - parts
+        # np.hypot is the scalar abs(); numpy's vectorised complex abs can
+        # differ from it in the last bit.
+        open_ =~(np.hypot(diff.real, diff.imag) < tol)
+        if depth == _MAX_EDGE_DEPTH:
+            failed[owner[open_]] = True
+        idx = np.flatnonzero(open_ & ~failed[owner])
+        levels.append((parts, idx))
+        if idx.size == 0:
+            break
+        a, b = _pairs(a[idx], mid[idx]), _pairs(mid[idx], b[idx])
+        whole = _pairs(left[idx], right[idx])
+        tol = np.repeat(0.5 * tol[idx], 2)
+        owner = np.repeat(owner[idx], 2)
+    vals = levels[-1][0]
+    for parts, idx in reversed(levels[:-1]):
+        parts[idx] = vals[0::2] + vals[1::2]
+        vals = parts
+    out, start = [], 0
+    for c, edges in enumerate(contours):
+        stop = start + len(edges)
+        out.append(None if failed[c] else vals[start:stop])
+        start = stop
+    return out
+
+
+def _edges(box: Box) -> list[tuple[complex, complex]]:
+    cs = box.corners()
+    return [(cs[k], cs[(k + 1) % 4]) for k in range(4)]
+
+
+def _admissible(cfg: PointConfig, boxes) -> np.ndarray:
+    """Per box: |det Gamma| stays above DET_FLOOR at the sampled boundary points."""
     t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    cs = box.corners()
-    zs = np.concatenate([cs[k] + t * (cs[(k + 1) % 4] - cs[k]) for k in range(4)])
-    dets = np.linalg.det(model.gamma_stack(cfg, zs))
-    return bool(np.abs(dets).min() > DET_FLOOR)
+    zs = np.concatenate([za + t * (zb - za) for box in boxes for za, zb in _edges(box)])
+    dets = np.linalg.det(model.gamma_stack(cfg, zs)).reshape(len(boxes), -1)
+    return np.abs(dets).min(axis=1) > DET_FLOOR
 
 
-def _winding(cfg: PointConfig, box: Box) -> int:
-    cs = box.corners()
-    total = 0.0 + 0.0j
-    for k in range(4):
-        total += _edge_quad(cfg, cs[k], cs[(k + 1) % 4], 2.0 * np.pi * 2.5e-4, 0)
-    raw = (total / (2j * np.pi)).real
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.25:
-        raise SubdivisionError(f"winding integral {raw:.6f} is not near an integer")
-    return int(nearest)
+def _windings(cfg: PointConfig, boxes) -> list[int | None]:
+    """Winding counts of the boxes; None where the edge quadrature failed or
+    the winding integral is not near an integer."""
+    counts = []
+    for edge_vals in _edge_integrals(cfg, [_edges(box) for box in boxes]):
+        if edge_vals is None:
+            counts.append(None)
+            continue
+        total = 0.0 + 0.0j
+        for v in edge_vals:
+            total += v
+        raw = (total / (2j * np.pi)).real
+        nearest = round(raw)
+        counts.append(None if abs(raw - nearest) > 0.25 else int(nearest))
+    return counts
 
 
 def _counted_box(cfg: PointConfig, box: Box) -> tuple[Box, int]:
@@ -220,12 +302,13 @@ def _counted_box(cfg: PointConfig, box: Box) -> tuple[Box, int]:
                 candidate = box.shrunk(k * _JITTER * box.diameter)
             except ValueError:
                 break
-        if not _boundary_admissible(cfg, candidate):
+        if not _admissible(cfg, [candidate])[0]:
+            logger.debug("shrinking %s: inadmissible boundary", candidate)
             continue
-        try:
-            return candidate, _winding(cfg, candidate)
-        except SubdivisionError:
-            continue
+        [count] = _windings(cfg, [candidate])
+        if count is not None:
+            return candidate, count
+        logger.debug("shrinking %s: failed winding", candidate)
     raise BoundaryError("could not move the box boundary off the zero set")
 
 
@@ -255,14 +338,17 @@ def _split_counted(cfg: PointConfig, box: Box, count: int):
     """
     for fx, fy in _SPLIT_FRACTIONS:
         children = box.split(fx, fy)
-        if not all(_boundary_admissible(cfg, c) for c in children):
-            continue
-        try:
-            counted = [(c, _winding(cfg, c)) for c in children]
-        except SubdivisionError:
-            continue
-        if sum(k for _, k in counted) == count:
-            return counted
+        if not _admissible(cfg, children).all():
+            reason = "inadmissible boundary"
+        else:
+            counts = _windings(cfg, children)
+            if None in counts:
+                reason = "failed winding"
+            elif sum(counts) == count:
+                return list(zip(children, counts))
+            else:
+                reason = f"count mismatch {counts} != {count}"
+        logger.debug("nudging split of %s at (%g, %g): %s", box, fx, fy, reason)
     raise SubdivisionError("no admissible quadrisection found")
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,18 @@ from deltaspec import (
 )
 from deltaspec.model import FOUR_PI, gamma_entries, real_split
 from deltaspec.resonance import (
+    _GL_W,
+    _GL_X,
+    _EDGE_TOL,
+    _MAX_EDGE_DEPTH,
     EIGENVALUE_POLE,
     RESONANCE,
+    SubdivisionError,
+    _edge_integrals,
+    _edges,
+    _panel_integrals,
+    _trace_logdet,
+    _windings,
     has_distinct_projections,
 )
 
@@ -146,6 +158,128 @@ def test_find_residuals_are_recorded():
     for root in found.roots:
         g = gamma_entries(one_center(2.0), root.z)
         assert root.sigma_min == pytest.approx(min_singular_value(g))
+
+
+# ---------------------------------------------------------------- edge quadrature
+
+
+def edge_quad_reference(cfg, za, zb, tol, depth, depths):
+    """The depth-first adaptive rule, one panel per solve: the reference the
+    batched quadrature must reproduce bit for bit.  Records every depth it
+    reaches in `depths`."""
+    depths.append(depth)
+
+    def panel(a, b):
+        zm = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
+        try:
+            vals = _trace_logdet(cfg, zm)
+        except np.linalg.LinAlgError:
+            raise SubdivisionError("quadrature node hit a singular matrix")
+        if not np.all(np.isfinite(vals)):
+            raise SubdivisionError("quadrature node hit a singular matrix")
+        return 0.5 * (b - a) * np.sum(_GL_W * vals)
+
+    mid = 0.5 * (za + zb)
+    whole = panel(za, zb)
+    parts = panel(za, mid) + panel(mid, zb)
+    if abs(whole - parts) < tol:
+        return parts
+    if depth >= _MAX_EDGE_DEPTH:
+        raise SubdivisionError("edge quadrature exceeded maximum depth")
+    return edge_quad_reference(cfg, za, mid, 0.5 * tol, depth + 1, depths) + (
+        edge_quad_reference(cfg, mid, zb, 0.5 * tol, depth + 1, depths)
+    )
+
+
+def same_bits(x, y) -> bool:
+    return np.complex128(x).tobytes() == np.complex128(y).tobytes()
+
+
+def test_batched_edge_quadrature_is_bit_identical_on_search_box():
+    # every edge of the criterion-7 search box, integrated one edge at a time,
+    # one box at a time and with all boxes in one batch
+    rng = np.random.default_rng(777)
+    box = Box(-5.0, 5.0, -5.0, -0.2)
+    cfgs = [random_config(rng, int(rng.integers(2, 4)), radius=1.2, min_dist=0.5,
+                          alpha_scale=2.0) for _ in range(2)]
+    for cfg in cfgs:
+        edges = _edges(box)
+        expected = [edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []) for za, zb in edges]
+        [together] = _edge_integrals(cfg, [edges])
+        singly = [_edge_integrals(cfg, [[edge]])[0][0] for edge in edges]
+        for want, got_together, got_singly in zip(expected, together, singly):
+            assert same_bits(want, got_together)
+            assert same_bits(want, got_singly)
+        batched = _edge_integrals(cfg, [edges, edges[::-1]])
+        assert all(same_bits(w, g) for w, g in zip(expected, batched[0]))
+        assert all(same_bits(w, g) for w, g in zip(expected[::-1], batched[1]))
+
+
+def test_batched_edge_quadrature_is_bit_identical_near_a_zero():
+    # an edge passing 1e-5 below the zero -4 pi i refines deep; batch it with
+    # the edges of a clean box so the panel levels mix shallow and deep panels
+    cfg = one_center(1.0)
+    y = -4.0 * np.pi - 1e-5
+    edge = (complex(-1.0, y), complex(1.0, y))
+    depths = []
+    expected = edge_quad_reference(cfg, *edge, _EDGE_TOL, 0, depths)
+    assert max(depths) >= 12
+    got, clean = _edge_integrals(cfg, [[edge], _edges(Box(2.0, 3.0, -5.0, -1.0))])
+    assert same_bits(expected, got[0])
+    assert clean is not None
+    # an oblique edge, whose panel half-lengths have two non-zero parts
+    oblique = (complex(-1.0, -4.0 * np.pi + 0.5), complex(1.5, -4.0 * np.pi - 0.25))
+    expected = edge_quad_reference(cfg, *oblique, _EDGE_TOL, 0, [])
+    assert same_bits(expected, _edge_integrals(cfg, [[oblique]])[0][0])
+
+
+def test_failed_box_does_not_fail_its_batch():
+    # the bottom edge of the grazing box runs through the zero -4 pi i, so its
+    # winding integral fails; the clean box counted in the same batch keeps
+    # its count, and the public count of the grazing box is the jittered one
+    cfg = one_center(1.0)
+    grazing = Box(-1.0, 1.0, -4.0 * np.pi, -1.0)
+    clean = Box(-1.0, 1.0, -20.0, -1.0)
+    assert _windings(cfg, [grazing, clean]) == [None, 1]
+    assert _windings(cfg, [clean, grazing]) == [1, None]
+    assert count_zeros_in_box(cfg, grazing) == 0
+    assert count_zeros_in_box(cfg, clean) == 1
+
+
+def test_singular_node_fails_only_its_panel():
+    # choose alpha so that Gamma vanishes exactly at a Gauss node of the
+    # panel -20i -> -i; the batched solve raises and the per-panel fallback
+    # fails that panel alone
+    a, b = complex(0.0, -20.0), complex(0.0, -1.0)
+    node = (0.5 * (a + b) + 0.5 * (b - a) * _GL_X)[3]
+    cfg = one_center(float((1j * node / FOUR_PI).real))
+    with pytest.raises(np.linalg.LinAlgError):
+        _trace_logdet(cfg, np.array([node]))
+    ca, cb = complex(2.0, -20.0), complex(2.0, -1.0)
+    sums, bad = _panel_integrals(cfg, np.array([a, ca]), np.array([b, cb]))
+    assert bad.tolist() == [True, False]
+    alone, _ = _panel_integrals(cfg, np.array([ca]), np.array([cb]))
+    assert same_bits(sums[1], alone[0])
+    # the box whose right edge holds the node fails, the clean one counts
+    singular = Box(-1.0, 0.0, -20.0, -1.0)
+    assert _edges(singular)[1] == (a, b)
+    assert _windings(cfg, [singular, Box(-1.0, 1.0, -20.0, -1.0)]) == [None, 1]
+    assert count_zeros_in_box(cfg, singular) == 0
+
+
+def test_fallbacks_are_logged(caplog):
+    cfg = one_center(1.0)
+    grazing = Box(-1.0, 1.0, -4.0 * np.pi, -1.0)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        count_zeros_in_box(cfg, grazing)
+    assert f"shrinking {grazing}: failed winding" in caplog.messages
+    caplog.clear()
+    # the midpoint split line x = 0 runs through the zero: the split is nudged
+    box = Box(-1.0, 1.0, -20.0, -1.0)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(cfg, box)
+    assert found.total_count == 1
+    assert f"nudging split of {box} at (0.5, 0.5): failed winding" in caplog.messages
 
 
 # ---------------------------------------------------------------- certificate
