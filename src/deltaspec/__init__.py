@@ -11,20 +11,15 @@ __version__ = "0.1.0"
 
 from .model import (
     ConfigError,
-    GammaMatrix,
     PointConfig,
-    RealSplit,
     SingularityError,
-    assemble_gamma,
-    gamma_derivative,
-    gamma_entries,
+    gamma_pair_stack,
+    gamma_stack,
     green_kernel,
-    real_split,
     sinc,
     sinc_gram,
 )
 from .linalg import (
-    LUFactorization,
     NotPositiveDefinite,
     SingularMatrixError,
     SymEigen,
@@ -50,10 +45,7 @@ from .resonance import (
     ResonanceSet,
     certify_real_axis,
     count_zeros_in_box,
-    distinct_direction,
-    exp_sum_on_sphere,
     find_resonances,
-    sphere_points,
 )
 from .resolvent import (
     DomainFunction,
@@ -69,17 +61,12 @@ __all__ = [
     "ConfigError",
     "SingularityError",
     "PointConfig",
-    "GammaMatrix",
-    "RealSplit",
     "green_kernel",
-    "assemble_gamma",
-    "gamma_entries",
-    "gamma_derivative",
-    "real_split",
+    "gamma_stack",
+    "gamma_pair_stack",
     "sinc",
     "sinc_gram",
     "SingularMatrixError",
-    "LUFactorization",
     "SymEigen",
     "NotPositiveDefinite",
     "lu_det",
@@ -101,9 +88,6 @@ __all__ = [
     "count_zeros_in_box",
     "find_resonances",
     "certify_real_axis",
-    "distinct_direction",
-    "exp_sum_on_sphere",
-    "sphere_points",
     "GaussianTestFunction",
     "DomainFunction",
     "resolvent_kernel",

@@ -45,19 +45,18 @@ class RunManifest:
         }
 
 
-def _require_finite_number(value, pointer: str) -> float:
+def _require_number(value, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("must be a number", pointer)
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError("must be finite", pointer)
-    return value
+    return float(value)
 
 
 def parse_config(path: str) -> PointConfig:
     """Load and validate the JSON config {"alpha": [...], "points": [[x,y,z], ...]}.
 
-    Raises ConfigError with a JSON pointer to the offending field.
+    Raises ConfigError with a JSON pointer to the offending field.  The JSON
+    types and row shapes are checked here; finiteness, matching lengths and
+    distinct points are PointConfig's checks.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,20 +76,12 @@ def parse_config(path: str) -> PointConfig:
     if not isinstance(doc["points"], list) or not doc["points"]:
         raise ConfigError("must be a non-empty list", "/points")
 
-    alpha = [
-        _require_finite_number(a, f"/alpha/{i}") for i, a in enumerate(doc["alpha"])
-    ]
+    alpha = [_require_number(a, f"/alpha/{i}") for i, a in enumerate(doc["alpha"])]
     points = []
     for i, row in enumerate(doc["points"]):
         if not isinstance(row, list) or len(row) != 3:
             raise ConfigError("must be a list of three coordinates", f"/points/{i}")
-        points.append(
-            [_require_finite_number(c, f"/points/{i}/{j}") for j, c in enumerate(row)]
-        )
-    if len(points) != len(alpha):
-        raise ConfigError(
-            f"length {len(points)} does not match alpha length {len(alpha)}", "/points"
-        )
+        points.append([_require_number(c, f"/points/{i}/{j}") for j, c in enumerate(row)])
     return PointConfig(alpha=np.array(alpha), points=np.array(points))
 
 
@@ -352,15 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAMETER_KEYS = {
-    "spectrum": ["tol"],
-    "classify-zero": ["tol"],
-    "laurent": ["radius", "nodes"],
-    "resonances": ["box", "tol"],
-    "certify": ["zmax", "grid"],
-    "resolvent": ["z", "x", "xp", "check_helmholtz"],
-    "scan-det": ["axis", "start", "stop", "step"],
-}
+# Namespace entries that are not run parameters: the config path is recorded
+# apart, and the rest only say where output goes.
+_NOT_PARAMETERS = {"command", "config", "out", "csv", "func"}
 
 
 def dispatch(argv=None) -> int:
@@ -369,7 +354,7 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    params = {k: getattr(args, k) for k in _PARAMETER_KEYS[args.command]}
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     manifest = RunManifest(
         command=args.command, config_path=args.config, parameters=params
     )

@@ -22,7 +22,6 @@ SYMMETRY_RTOL = 1e-12
 
 __all__ = [
     "SingularMatrixError",
-    "LUFactorization",
     "lu_det",
     "solve",
     "SymEigen",
@@ -38,39 +37,22 @@ class SingularMatrixError(RuntimeError):
     """Linear solve attempted on a numerically singular matrix."""
 
 
-@dataclass(frozen=True)
-class LUFactorization:
-    """Partial-pivoting LU: factors holds L (unit lower) and U packed together,
-    pivots is the row permutation p with M[p] = L @ U, sign its parity."""
-
-    factors: np.ndarray
-    pivots: np.ndarray
-    sign: int
-
-
 def _lu_factor(m: np.ndarray):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         return scipy.linalg.lu_factor(m, check_finite=False)
 
 
-def lu_det(m) -> tuple[LUFactorization, complex]:
-    """LU-factorize and return the determinant.
+def lu_det(m) -> complex:
+    """Determinant by partial-pivoting LU.
 
-    A singular input yields det ~ 0, not an error.
+    A singular input yields det ~ 0, not an error.  Each pivot index that
+    differs from its row is one row swap, so their count gives the sign.
     """
     m = np.asarray(m, dtype=complex)
     lu, piv = _lu_factor(m)
-    perm = np.arange(piv.shape[0])
-    sign = 1
-    for i, p in enumerate(piv):
-        if p != i:
-            perm[[i, p]] = perm[[p, i]]
-            sign = -sign
-    det = sign * np.prod(np.diag(lu))
-    perm.setflags(write=False)
-    lu.setflags(write=False)
-    return LUFactorization(factors=lu, pivots=perm, sign=sign), complex(det)
+    sign = -1 if np.count_nonzero(piv != np.arange(piv.shape[0])) % 2 else 1
+    return complex(sign * np.prod(np.diag(lu)))
 
 
 def solve(m, b) -> np.ndarray:

@@ -26,15 +26,10 @@ __all__ = [
     "ConfigError",
     "SingularityError",
     "PointConfig",
-    "GammaMatrix",
-    "RealSplit",
     "green_kernel",
-    "assemble_gamma",
-    "gamma_entries",
     "gamma_stack",
-    "gamma_derivative",
+    "gamma_pair_stack",
     "gamma_imag_axis",
-    "real_split",
     "sinc",
     "sinc_gram",
     "row_sum_bound",
@@ -133,27 +128,6 @@ class PointConfig:
         return float(self._distances[iu, ju].min())
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Characteristic matrix at spectral parameter z.
-
-    Complex symmetric (not Hermitian): diagonal alpha_j - i z / 4 pi,
-    off-diagonal -exp(i z d_jk) / (4 pi d_jk).
-    """
-
-    z: complex
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class RealSplit:
-    """Decomposition Gamma(z) = A - iB for real z > 0, both factors real symmetric."""
-
-    A: np.ndarray
-    B: np.ndarray
-    z: float
-
-
 def green_kernel(z, x, y):
     """Free Helmholtz kernel exp(i z |x-y|) / (4 pi |x-y|).
 
@@ -188,7 +162,11 @@ def _gamma_and_phase(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
 def gamma_stack(cfg: PointConfig, zs) -> np.ndarray:
     """Entries of the characteristic matrix at a batch of spectral parameters.
 
-    `zs` may have any shape; the result has shape zs.shape + (N, N).
+    Complex symmetric (not Hermitian): diagonal alpha_j - i z / 4 pi,
+    off-diagonal -exp(i z d_jk) / (4 pi d_jk).  `zs` may have any shape,
+    a scalar included; the result has shape zs.shape + (N, N).  For real
+    z > 0, `.real` and `-.imag` are the real symmetric A and B of
+    Gamma(z) = A - iB.
     """
     return _gamma_and_phase(cfg, zs)[0]
 
@@ -201,20 +179,6 @@ def gamma_pair_stack(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
     """
     g, phase = _gamma_and_phase(cfg, zs)
     return g, -1j * phase / FOUR_PI
-
-
-def gamma_entries(cfg: PointConfig, z) -> np.ndarray:
-    """N x N entries of the characteristic matrix at a single z."""
-    return gamma_stack(cfg, complex(z))
-
-
-def assemble_gamma(cfg: PointConfig, z) -> GammaMatrix:
-    return GammaMatrix(z=complex(z), entries=_frozen(gamma_entries(cfg, z)))
-
-
-def gamma_derivative(cfg: PointConfig, z) -> np.ndarray:
-    """Entrywise z-derivative: -i/4pi on the diagonal, -i exp(i z d)/4pi off it."""
-    return gamma_pair_stack(cfg, complex(z))[1]
 
 
 def gamma_imag_axis(cfg: PointConfig, lam: float) -> np.ndarray:
@@ -236,15 +200,6 @@ def gamma_imag_axis(cfg: PointConfig, lam: float) -> np.ndarray:
     return out
 
 
-def real_split(cfg: PointConfig, z: float) -> RealSplit:
-    """Split Gamma(z) = A - iB at real z > 0; A, B real symmetric, exact to rounding."""
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError("real_split requires z > 0")
-    g = gamma_entries(cfg, z)
-    return RealSplit(A=_frozen(g.real.copy()), B=_frozen(-g.imag.copy()), z=z)
-
-
 def sinc(x):
     """sin(x)/x with sinc(0) = 1.
 
@@ -259,17 +214,13 @@ def sinc(x):
     return float(out) if out.ndim == 0 else out
 
 
-def sinc_gram(cfg: PointConfig, z: float) -> np.ndarray:
-    """Gram matrix S_jk = sinc(z d_jk); the imaginary part of Gamma on the
-    positive real axis is (z/4pi) S.  Unit diagonal, entries in [-1, 1]."""
-    z = float(z)
-    if z <= 0.0:
-        raise ValueError("sinc_gram requires z > 0")
-    return sinc(z * cfg.distances)
-
-
-def sinc_gram_stack(cfg: PointConfig, zs) -> np.ndarray:
+def sinc_gram(cfg: PointConfig, zs) -> np.ndarray:
+    """Gram matrices S_jk = sinc(z d_jk) at a batch of z > 0; the imaginary
+    part of Gamma on the positive real axis is (z/4pi) S.  Unit diagonal,
+    entries in [-1, 1]; the result has shape zs.shape + (N, N)."""
     zs = np.asarray(zs, dtype=float)
+    if not np.all(zs > 0.0):
+        raise ValueError("sinc_gram requires z > 0")
     return sinc(zs[..., None, None] * cfg.distances)
 
 

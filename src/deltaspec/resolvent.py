@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import FOUR_PI, PointConfig, SingularityError, gamma_entries, green_kernel
+from .model import FOUR_PI, PointConfig, SingularityError, gamma_stack, green_kernel
 
 # Gamma is treated as at-a-pole below this smallest singular value.
 SIGMA_FLOOR = 1e-12
@@ -57,7 +57,7 @@ class GaussianTestFunction:
 
 
 def _gamma_inverse(cfg: PointConfig, z: complex) -> np.ndarray:
-    g = gamma_entries(cfg, z)
+    g = gamma_stack(cfg, z)
     if linalg.min_singular_value(g) <= SIGMA_FLOOR:
         raise linalg.SingularMatrixError(
             "spectral parameter is at or near a pole of the resolvent"

@@ -230,13 +230,37 @@ def test_numerical_fields_are_deterministic(tmp_path, capsys):
     assert json.dumps(doc1) == json.dumps(doc2)
 
 
-def test_manifest_fields(tmp_path, capsys):
+MANIFEST_PARAMETERS = {
+    "spectrum": ([], ["tol"]),
+    "classify-zero": (["--tol", "1e-9"], ["tol"]),
+    "laurent": ([], ["radius", "nodes"]),
+    "resonances": (["--box", "-1", "1", "-2", "-1"], ["box", "tol"]),
+    "certify": (["--grid", "0.5", "--csv", "scan.csv"], ["zmax", "grid"]),
+    "resolvent": (
+        ["--z", "1,0.5", "--x", "1,0,0", "--xp", "0,1,0"],
+        ["z", "x", "xp", "check_helmholtz"],
+    ),
+    "scan-det": (
+        ["--axis", "real", "--from", "0", "--to", "1", "--step", "0.5", "--csv", "scan.csv"],
+        ["axis", "start", "stop", "step"],
+    ),
+}
+
+
+def test_manifest_fields(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, [1.0], [[0.0, 0.0, 0.0]])
-    _, out, _ = run(capsys, "classify-zero", path, "--tol", "1e-9")
-    man = json.loads(out)["manifest"]
-    assert set(man) == {"command", "config_path", "parameters", "tool_version", "timestamp"}
-    assert man["parameters"] == {"tol": 1e-9}
-    assert man["tool_version"]
+    for command, (extra, keys) in MANIFEST_PARAMETERS.items():
+        code, out, _ = run(capsys, command, path, *extra, "--out", "out.json")
+        assert code == 0 and out == ""
+        man = json.loads((tmp_path / "out.json").read_text())["manifest"]
+        assert set(man) == {"command", "config_path", "parameters", "tool_version", "timestamp"}
+        assert man["command"] == command
+        assert man["config_path"] == path
+        assert list(man["parameters"]) == keys
+        assert man["tool_version"]
+        if command == "classify-zero":
+            assert man["parameters"] == {"tol": 1e-9}
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

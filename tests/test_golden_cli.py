@@ -1,0 +1,119 @@
+"""Golden CLI corpus: every subcommand must reproduce its stored output byte
+for byte.
+
+`golden_cli/` holds seeded configs, the JSON each job wrote (with the run
+timestamp dropped from its manifest) and the CSV files of the jobs that write
+one.  Config paths are given relative to `golden_cli/`, so the manifests do
+not depend on where the repository lives.  Regenerate (only after a
+deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`.
+"""
+
+import json
+import os
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import random_config
+from deltaspec.cli import dispatch
+
+GOLDEN = Path(__file__).with_name("golden_cli")
+
+_TIMESTAMP = re.compile(r',\n    "timestamp": "[^"]*"')
+
+
+def _configs() -> dict:
+    """Config file name -> PointConfig."""
+    def seeded(seed, n, **kwargs):
+        return random_config(np.random.default_rng(seed), n, **kwargs)
+
+    return {
+        "n2.json": seeded(201, 2, radius=1.2, min_dist=0.5, alpha_scale=2.0),
+        "n3.json": seeded(202, 3, radius=1.2, min_dist=0.5, alpha_scale=2.0),
+        "n5.json": seeded(203, 5, radius=2.0, min_dist=0.3, alpha_scale=3.0),
+        # as in test_certificate_large_n_gram_precision_exhaustion: the
+        # smallest grid points take the per-matrix Cholesky fallback
+        "n40.json": seeded(5150, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
+        # at z = 0.1 linalg.cholesky accepts a Gram matrix that LAPACK's
+        # dpotrf rejects
+        "n40b.json": seeded(5163, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
+    }
+
+
+def _jobs() -> dict:
+    """Job name -> (argv, writes a CSV)."""
+    jobs = {}
+    for cfg in ("n2.json", "n3.json", "n5.json"):
+        stem = cfg.removesuffix(".json")
+        jobs.update({
+            f"{stem}-spectrum": (["spectrum", cfg], False),
+            f"{stem}-classify-zero": (["classify-zero", cfg], False),
+            f"{stem}-laurent": (["laurent", cfg, "--nodes", "32"], False),
+            f"{stem}-resonances": (
+                ["resonances", cfg, "--box", "-3", "3", "-3", "-0.2"], False
+            ),
+            f"{stem}-certify": (["certify", cfg, "--grid", "0.05"], True),
+            f"{stem}-resolvent": (
+                ["resolvent", cfg, "--z", "1.3,0.4", "--x", "2.5,0.3,-0.7",
+                 "--xp=-1.9,2.2,0.4", "--check-helmholtz", "1e-3"],
+                False,
+            ),
+            f"{stem}-scan-det-real": (
+                ["scan-det", cfg, "--axis", "real", "--from", "0.1", "--to", "4",
+                 "--step", "0.25"],
+                True,
+            ),
+            f"{stem}-scan-det-imag": (
+                ["scan-det", cfg, "--axis", "imag", "--from", "0", "--to", "4",
+                 "--step", "0.25"],
+                True,
+            ),
+        })
+    for cfg in ("n40.json", "n40b.json"):
+        jobs[f"{cfg.removesuffix('.json')}-certify"] = (
+            ["certify", cfg, "--zmax", "1", "--grid", "0.05"], True
+        )
+    return jobs
+
+
+JOBS = _jobs()
+
+
+def _run(name: str, out_dir: Path) -> tuple[bytes, bytes | None]:
+    """JSON (timestamp dropped) and CSV bytes of one job, run from GOLDEN."""
+    argv, writes_csv = JOBS[name]
+    out, csv = out_dir / f"{name}.json", out_dir / f"{name}.csv"
+    extra = ["--out", str(out)] + (["--csv", str(csv)] if writes_csv else [])
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        assert dispatch(argv + extra) == 0
+    finally:
+        os.chdir(cwd)
+    text, count = _TIMESTAMP.subn("", out.read_text(encoding="utf-8"))
+    assert count == 1
+    return text.encode("utf-8"), csv.read_bytes() if writes_csv else None
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_golden_cli_reproduced_exactly(name, tmp_path):
+    text, csv = _run(name, tmp_path)
+    assert text == (GOLDEN / f"{name}.json").read_bytes()
+    if csv is not None:
+        assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _generate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, cfg in _configs().items():
+        doc = {"alpha": cfg.alpha.tolist(), "points": cfg.points.tolist()}
+        (GOLDEN / name).write_text(json.dumps(doc) + "\n")
+    for name in JOBS:
+        text, _ = _run(name, GOLDEN)
+        (GOLDEN / f"{name}.json").write_bytes(text)
+
+
+if __name__ == "__main__":
+    _generate()

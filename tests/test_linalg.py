@@ -62,12 +62,12 @@ def charpoly_smallest_root(h, hi, scan=400):
 
 
 def test_lu_det_identity():
-    _, det = lu_det(np.eye(4))
+    det = lu_det(np.eye(4))
     assert det == pytest.approx(1.0)
 
 
 def test_lu_det_diagonal_complex():
-    _, det = lu_det(np.diag([2.0, 3.0j]))
+    det = lu_det(np.diag([2.0, 3.0j]))
     assert det == pytest.approx(6.0j)
 
 
@@ -75,30 +75,24 @@ def test_lu_det_against_cofactor_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        _, det = lu_det(m)
+        det = lu_det(m)
         oracle = cofactor_det(m)
         assert abs(det - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_lu_reconstruction_and_sign():
     rng = np.random.default_rng(22)
-    for trial in range(1000):
+    for _ in range(1000):
         n = int(rng.integers(1, 13))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        fac, det = lu_det(m)
-        lower = np.tril(fac.factors, -1) + np.eye(n)
-        upper = np.triu(fac.factors)
-        np.testing.assert_allclose(
-            m[fac.pivots], lower @ upper, atol=1e-12 * np.abs(m).max()
-        )
-        assert fac.sign in (-1, 1)
-        if trial % 50 == 0:
-            assert abs(det - np.linalg.det(m)) <= 1e-10 * max(1.0, abs(det))
+        det = lu_det(m)
+        # a wrong permutation parity flips the sign and fails this check
+        assert abs(det - np.linalg.det(m)) <= 1e-10 * max(1.0, abs(det))
 
 
 def test_lu_det_singular_is_zero_not_error():
     m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    _, det = lu_det(m)
+    det = lu_det(m)
     assert abs(det) < 1e-14
 
 

@@ -8,16 +8,14 @@ from deltaspec import (
     ConfigError,
     PointConfig,
     SingularityError,
-    assemble_gamma,
-    gamma_derivative,
-    gamma_entries,
+    gamma_pair_stack,
+    gamma_stack,
     green_kernel,
-    real_split,
     sinc,
     sinc_gram,
 )
 from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
-from deltaspec.resonance import sphere_points
+from sphere import sphere_points
 
 ORIGIN = [0.0, 0.0, 0.0]
 
@@ -93,14 +91,14 @@ def test_green_kernel_singular_at_coincidence():
 
 def test_gamma_one_center_imaginary_z():
     cfg = PointConfig(alpha=[2.0], points=[ORIGIN])
-    g = assemble_gamma(cfg, 4j * np.pi)
-    assert g.entries.shape == (1, 1)
-    assert g.entries[0, 0] == pytest.approx(3.0)
+    g = gamma_stack(cfg, 4j * np.pi)
+    assert g.shape == (1, 1)
+    assert g[0, 0] == pytest.approx(3.0)
 
 
 def test_gamma_two_centers_at_zero():
     cfg = PointConfig(alpha=[0.3, -0.7], points=[ORIGIN, [1, 0, 0]])
-    g = gamma_entries(cfg, 0.0)
+    g = gamma_stack(cfg, 0.0)
     expect = np.array([[0.3, -1 / FOUR_PI], [-1 / FOUR_PI, -0.7]])
     np.testing.assert_allclose(g, expect, rtol=0, atol=1e-15)
 
@@ -109,15 +107,15 @@ def test_gamma_conjugation_symmetry_on_real_axis():
     rng = np.random.default_rng(3)
     cfg = random_config(rng, 4)
     for z in (0.37, 2.0, 11.5):
-        gp = gamma_entries(cfg, z)
-        gm = gamma_entries(cfg, -z)
+        gp = gamma_stack(cfg, z)
+        gm = gamma_stack(cfg, -z)
         np.testing.assert_array_equal(gm, np.conj(gp))
 
 
 def test_gamma_complex_symmetry_exact():
     rng = np.random.default_rng(4)
     cfg = random_config(rng, 5)
-    g = gamma_entries(cfg, 1.3 - 0.8j)
+    g = gamma_stack(cfg, 1.3 - 0.8j)
     np.testing.assert_array_equal(g, g.T)
 
 
@@ -127,7 +125,7 @@ def test_gamma_reflection_identity():
     cfg = random_config(rng, 3)
     z = 0.9 - 1.7j
     np.testing.assert_allclose(
-        gamma_entries(cfg, -np.conj(z)), np.conj(gamma_entries(cfg, z)), rtol=0, atol=0
+        gamma_stack(cfg, -np.conj(z)), np.conj(gamma_stack(cfg, z)), rtol=0, atol=0
     )
 
 
@@ -141,8 +139,8 @@ def test_gamma_scaling_property(lam, re, im):
     cfg = two_center_config(-0.8, 1.6)
     z = complex(re, im)
     scaled = PointConfig(alpha=cfg.alpha / lam, points=lam * cfg.points)
-    lhs = gamma_entries(cfg, lam * z)
-    rhs = lam * gamma_entries(scaled, z)
+    lhs = gamma_stack(cfg, lam * z)
+    rhs = lam * gamma_stack(scaled, z)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
@@ -151,7 +149,7 @@ def test_gamma_imag_axis_matches_complex_assembly():
     cfg = random_config(rng, 4)
     for lam in (0.0, 0.5, 7.0):
         direct = gamma_imag_axis(cfg, lam)
-        via_complex = gamma_entries(cfg, 1j * lam)
+        via_complex = gamma_stack(cfg, 1j * lam)
         np.testing.assert_allclose(direct, via_complex.real, rtol=0, atol=1e-14)
         np.testing.assert_allclose(via_complex.imag, 0.0, rtol=0, atol=1e-16)
 
@@ -161,17 +159,17 @@ def test_gamma_imag_axis_matches_complex_assembly():
 
 def test_derivative_one_center():
     cfg = PointConfig(alpha=[0.4], points=[ORIGIN])
-    np.testing.assert_allclose(gamma_derivative(cfg, 2.3 + 1j), [[-1j / FOUR_PI]])
+    np.testing.assert_allclose(gamma_pair_stack(cfg, 2.3 + 1j)[1], [[-1j / FOUR_PI]])
 
 
 def test_derivative_two_centers_at_zero():
     cfg = two_center_config(0.9, 1.7)
-    d = gamma_derivative(cfg, 0.0)
+    d = gamma_pair_stack(cfg, 0.0)[1]
     np.testing.assert_allclose(d, np.full((2, 2), -1j / FOUR_PI), rtol=0, atol=1e-16)
 
 
 def central_difference(cfg, z, h):
-    return (gamma_entries(cfg, z + h) - gamma_entries(cfg, z - h)) / (2.0 * h)
+    return (gamma_stack(cfg, z + h) - gamma_stack(cfg, z - h)) / (2.0 * h)
 
 
 def test_derivative_matches_central_differences_second_order():
@@ -180,7 +178,7 @@ def test_derivative_matches_central_differences_second_order():
         points=[ORIGIN, [2.0, 0, 0], [0, 2.5, 0]],
     )
     z = 0.7 + 0.3j
-    exact = gamma_derivative(cfg, z)
+    exact = gamma_pair_stack(cfg, z)[1]
     err = {h: np.abs(central_difference(cfg, z, h) - exact).max() for h in (1e-4, 1e-5)}
     assert err[1e-4] < 1e-7
     ratio = err[1e-4] / err[1e-5]
@@ -188,35 +186,20 @@ def test_derivative_matches_central_differences_second_order():
 
 
 # ---------------------------------------------------------------- real split
+# Gamma(z) = A - iB at real z > 0: A is the real part, B minus the imaginary part.
 
 
 def test_real_split_one_center():
     cfg = PointConfig(alpha=[3.0], points=[ORIGIN])
-    split = real_split(cfg, 1.0)
-    np.testing.assert_allclose(split.A, [[3.0]])
-    np.testing.assert_allclose(split.B, [[1.0 / FOUR_PI]])
+    g = gamma_stack(cfg, 1.0)
+    np.testing.assert_allclose(g.real, [[3.0]])
+    np.testing.assert_allclose(-g.imag, [[1.0 / FOUR_PI]])
 
 
 def test_real_split_sinc_zero_at_pi():
     cfg = two_center_config(0.0, 1.0)
-    split = real_split(cfg, np.pi)
-    np.testing.assert_allclose(split.B, (np.pi / FOUR_PI) * np.eye(2), rtol=0, atol=1e-16)
-
-
-def test_real_split_reconstructs_gamma():
-    rng = np.random.default_rng(7)
-    cfg = random_config(rng, 5)
-    z = 2.31
-    split = real_split(cfg, z)
-    np.testing.assert_array_equal(split.A - 1j * split.B, gamma_entries(cfg, z))
-
-
-def test_real_split_rejects_nonpositive_z():
-    cfg = two_center_config(1.0, 1.0)
-    with pytest.raises(ValueError):
-        real_split(cfg, 0.0)
-    with pytest.raises(ValueError):
-        real_split(cfg, -1.0)
+    b = -gamma_stack(cfg, np.pi).imag
+    np.testing.assert_allclose(b, (np.pi / FOUR_PI) * np.eye(2), rtol=0, atol=1e-16)
 
 
 # ---------------------------------------------------------------- sinc and gram
@@ -267,6 +250,8 @@ def test_sinc_gram_rejects_nonpositive_z():
     cfg = two_center_config(1.0, 1.0)
     with pytest.raises(ValueError):
         sinc_gram(cfg, 0.0)
+    with pytest.raises(ValueError):
+        sinc_gram(cfg, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------- sphere identity

@@ -9,14 +9,11 @@ from deltaspec import (
     PointConfig,
     certify_real_axis,
     count_zeros_in_box,
-    distinct_direction,
-    exp_sum_on_sphere,
     find_resonances,
     min_singular_value,
     sinc_gram,
-    sphere_points,
 )
-from deltaspec.model import FOUR_PI, gamma_entries, real_split
+from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resonance import (
     _GL_W,
     _GL_X,
@@ -30,7 +27,12 @@ from deltaspec.resonance import (
     _panel_integrals,
     _trace_logdet,
     _windings,
+)
+from sphere import (
+    distinct_direction,
+    exp_sum_on_sphere,
     has_distinct_projections,
+    sphere_points,
 )
 
 ORIGIN = [0.0, 0.0, 0.0]
@@ -156,7 +158,7 @@ def test_double_zero_at_origin_counted_with_order():
 def test_find_residuals_are_recorded():
     found = find_resonances(one_center(2.0), Box(-1.0, 1.0, -40.0, -1.0))
     for root in found.roots:
-        g = gamma_entries(one_center(2.0), root.z)
+        g = gamma_stack(one_center(2.0), root.z)
         assert root.sigma_min == pytest.approx(min_singular_value(g))
 
 
@@ -311,7 +313,7 @@ def test_certificate_weyl_lower_bound():
     cfg = random_config(rng, 4, radius=2.0, min_dist=0.5, alpha_scale=2.0)
     cert = certify_real_axis(cfg, grid_step=0.25)
     for z, sigma in zip(cert.z_grid[::40], cert.sigma_min[::40]):
-        g = gamma_entries(cfg, float(z))
+        g = gamma_stack(cfg, float(z))
         lam = g + 1j * float(z) / FOUR_PI * np.eye(cfg.n)
         bound = float(z) / FOUR_PI - np.linalg.norm(lam, ord=2)
         assert sigma >= bound - 1e-12
@@ -373,11 +375,11 @@ def test_sinc_gram_quadratic_form_matches_sphere_integral():
     rng = np.random.default_rng(69)
     cfg = random_config(rng, 4, radius=1.5, min_dist=0.3)
     z = 1.7
-    split = real_split(cfg, z)
+    b = -gamma_stack(cfg, z).imag
     pts, w = sphere_points(4_000, seed=7, method="gauss")
     for _ in range(3):
         v = rng.standard_normal(4)
-        direct = float(v @ split.B @ v)
+        direct = float(v @ b @ v)
         assert direct >= 0.0
         phases = np.exp(1j * z * (pts @ cfg.points.T))  # (nodes, N)
         integrand = np.abs(phases @ v) ** 2

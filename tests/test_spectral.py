@@ -12,8 +12,8 @@ from deltaspec import (
 )
 from deltaspec.linalg import NotPositiveDefinite, cholesky
 from deltaspec.model import FOUR_PI, gamma_imag_axis
-from deltaspec.resonance import sphere_points
 from deltaspec.spectral import MIXED, REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
+from sphere import sphere_points
 
 ORIGIN = [0.0, 0.0, 0.0]
 
