@@ -48,7 +48,10 @@ class RunManifest:
 def _require_number(value, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("must be a number", pointer)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ConfigError("must be finite", pointer)
 
 
 def parse_config(path: str) -> PointConfig:

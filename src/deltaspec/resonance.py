@@ -9,7 +9,10 @@ because det Gamma is an exponential polynomial that overflows at large
 quadrature refines the edges of all boxes counted together breadth-first,
 one batched solve per refinement level; it builds the same panel tree and
 gives the same results, bit for bit, as the recursive rule applied one edge
-at a time.
+at a time.  Within one search each Gauss panel is evaluated once: a child's
+outer edge reuses the panels of its parent's edge, and the inner edge that
+two siblings share in opposite orientation reuses them reversed.  Each
+boundary segment of a batch of boxes is sampled for det Gamma once.
 
 The certificate scans the positive real axis up to the analytic
 large-momentum bound, recording the smallest singular value of Gamma(z) and
@@ -160,17 +163,16 @@ def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
     return np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
 
 
-def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray):
-    """16-node Gauss-Legendre integrals of tr(Gamma^-1 Gamma') over the panels
-    a[i] -> b[i], and a mask of the panels with a singular or non-finite node.
+def _node_values(cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(Gamma^-1 Gamma') at the 16 Gauss-Legendre nodes of each panel
+    a[i] -> b[i]; a row holding a singular node is non-finite.
 
     All panels share one solve.  When it hits an exactly singular matrix the
     panels are evaluated one by one, so only the panel holding that node fails.
     """
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_X
     try:
-        vals = _trace_logdet(cfg, nodes)
+        return _trace_logdet(cfg, nodes)
     except np.linalg.LinAlgError:
         vals = np.full(nodes.shape, np.nan, dtype=complex)
         for i, zm in enumerate(nodes):
@@ -178,6 +180,51 @@ def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray):
                 vals[i] = _trace_logdet(cfg, zm)
             except np.linalg.LinAlgError:
                 pass  # left non-finite: the panel fails
+        return vals
+
+
+class _SearchMemo:
+    """Work shared by the boxes of one search: node values of every Gauss
+    panel, keyed on its exact endpoints (a, b), with (b, a) holding the same
+    values reversed; and counts of the panels evaluated and reused and of the
+    det samples taken."""
+
+    def __init__(self):
+        self.panels: dict[tuple[complex, complex], np.ndarray] = {}
+        self.evaluated = 0
+        self.reused = 0
+        self.det_samples = 0
+
+    def node_values(self, cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        panels = self.panels
+        keys = list(zip(a.tolist(), b.tolist()))
+        new = {}  # panels to evaluate, one orientation each
+        for key in keys:
+            if key not in panels and key[::-1] not in new:
+                new[key] = None
+        if new:
+            za, zb = np.array(list(new)).T
+            for (p, q), v in zip(new, _node_values(cfg, za, zb)):
+                panels[p, q] = v
+                panels[q, p] = v[::-1]
+        self.evaluated += len(new)
+        self.reused += len(keys) - len(new)
+        return np.array([panels[key] for key in keys])
+
+
+def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo=None):
+    """16-node Gauss-Legendre integrals of tr(Gamma^-1 Gamma') over the panels
+    a[i] -> b[i], and a mask of the panels with a singular or non-finite node.
+
+    The node values come from the memo (a fresh one when not given): only
+    panels it has not seen, in either orientation, are evaluated, each once
+    per batch.  The nodes of b -> a are those of a -> b in reverse order, bit
+    for bit (the Gauss rule is symmetric and mid and half flip exactly), so
+    the weighted sum of the reversed values is the one a fresh evaluation
+    gives.
+    """
+    vals = (_SearchMemo() if memo is None else memo).node_values(cfg, a, b)
+    half = 0.5 * (b - a)
     s = np.sum(_GL_W * vals, axis=1)
     # half * s written out: numpy's vectorised complex multiply may fuse
     # multiply-adds, and the values must match the scalar product exactly.
@@ -192,7 +239,7 @@ def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1).ravel()
 
 
-def _edge_integrals(cfg: PointConfig, contours) -> list[np.ndarray | None]:
+def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | None]:
     """Integrals of tr(Gamma^-1 Gamma') along every edge (za, zb) of each
     contour; None for a contour whose quadrature failed.
 
@@ -203,7 +250,8 @@ def _edge_integrals(cfg: PointConfig, contours) -> list[np.ndarray | None]:
     one batch, and a half becomes its child's whole panel.  Accepted values
     are summed back up the panel tree in depth-first order, so each integral
     is bit for bit the one the recursive rule gives.  A singular node or a
-    panel still open at the depth limit fails only its own contour.
+    panel still open at the depth limit fails only its own contour.  The
+    memo supplies every panel it has already seen.
     """
     owner = np.array([c for c, edges in enumerate(contours) for _ in edges], dtype=int)
     a = np.array([za for edges in contours for za, _ in edges], dtype=complex)
@@ -217,7 +265,7 @@ def _edge_integrals(cfg: PointConfig, contours) -> list[np.ndarray | None]:
         lo, hi = np.concatenate([a, mid]), np.concatenate([mid, b])
         if whole is None:
             lo, hi = np.concatenate([a, lo]), np.concatenate([b, hi])
-        sums, bad = _panel_integrals(cfg, lo, hi)
+        sums, bad = _panel_integrals(cfg, lo, hi, memo)
         sums, bad = sums.reshape(-1, a.size), bad.reshape(-1, a.size)
         failed[owner[bad.any(axis=0)]] = True
         if whole is None:
@@ -255,19 +303,32 @@ def _edges(box: Box) -> list[tuple[complex, complex]]:
     return [(cs[k], cs[(k + 1) % 4]) for k in range(4)]
 
 
-def _admissible(cfg: PointConfig, boxes) -> np.ndarray:
-    """Per box: |det Gamma| stays above DET_FLOOR at the sampled boundary points."""
+def _admissible(cfg: PointConfig, boxes, memo=None) -> np.ndarray:
+    """Per box: |det Gamma| stays above DET_FLOOR at the sampled boundary points.
+
+    Each boundary segment of the batch is sampled once, in the orientation it
+    is first seen in, so the inner edge two siblings share costs one sweep.
+    """
+    segments = {}
+    rows = []
+    for box in boxes:
+        for za, zb in _edges(box):
+            key = (zb, za) if (zb, za) in segments else (za, zb)
+            rows.append(segments.setdefault(key, len(segments)))
     t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    zs = np.concatenate([za + t * (zb - za) for box in boxes for za, zb in _edges(box)])
-    dets = np.linalg.det(model.gamma_stack(cfg, zs)).reshape(len(boxes), -1)
-    return np.abs(dets).min(axis=1) > DET_FLOOR
+    zs = np.concatenate([za + t * (zb - za) for za, zb in segments])
+    dets = np.linalg.det(model.gamma_stack(cfg, zs)).reshape(len(segments), -1)
+    if memo is not None:
+        memo.det_samples += zs.size
+    lowest = np.abs(dets).min(axis=1)[rows].reshape(len(boxes), -1)
+    return lowest.min(axis=1) > DET_FLOOR
 
 
-def _windings(cfg: PointConfig, boxes) -> list[int | None]:
+def _windings(cfg: PointConfig, boxes, memo=None) -> list[int | None]:
     """Winding counts of the boxes; None where the edge quadrature failed or
     the winding integral is not near an integer."""
     counts = []
-    for edge_vals in _edge_integrals(cfg, [_edges(box) for box in boxes]):
+    for edge_vals in _edge_integrals(cfg, [_edges(box) for box in boxes], memo):
         if edge_vals is None:
             counts.append(None)
             continue
@@ -280,7 +341,7 @@ def _windings(cfg: PointConfig, boxes) -> list[int | None]:
     return counts
 
 
-def _counted_box(cfg: PointConfig, box: Box) -> tuple[Box, int]:
+def _counted_box(cfg: PointConfig, box: Box, memo: _SearchMemo) -> tuple[Box, int]:
     """Winding count with an admissible boundary.
 
     The box shrinks inward by growing multiples of 1e-6 * diameter whenever a
@@ -298,10 +359,10 @@ def _counted_box(cfg: PointConfig, box: Box) -> tuple[Box, int]:
                 candidate = box.shrunk(k * _JITTER * box.diameter)
             except ValueError:
                 break
-        if not _admissible(cfg, [candidate])[0]:
+        if not _admissible(cfg, [candidate], memo)[0]:
             logger.debug("shrinking %s: inadmissible boundary", candidate)
             continue
-        [count] = _windings(cfg, [candidate])
+        [count] = _windings(cfg, [candidate], memo)
         if count is not None:
             return candidate, count
         logger.debug("shrinking %s: failed winding", candidate)
@@ -314,7 +375,7 @@ def count_zeros_in_box(cfg: PointConfig, box: Box) -> int:
     The boundary is moved inward by up to 5 tiny jitters when it grazes a
     zero; the count refers to the jittered rectangle.
     """
-    return _counted_box(cfg, box)[1]
+    return _counted_box(cfg, box, _SearchMemo())[1]
 
 
 _SPLIT_FRACTIONS = [
@@ -326,7 +387,7 @@ _SPLIT_FRACTIONS = [
 ]
 
 
-def _split_counted(cfg: PointConfig, box: Box, count: int):
+def _split_counted(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     """Partition the box into 4 counted children whose counts sum to count.
 
     Split lines are nudged off the midpoint when they graze a zero or when a
@@ -334,10 +395,10 @@ def _split_counted(cfg: PointConfig, box: Box, count: int):
     """
     for fx, fy in _SPLIT_FRACTIONS:
         children = box.split(fx, fy)
-        if not _admissible(cfg, children).all():
+        if not _admissible(cfg, children, memo).all():
             reason = "inadmissible boundary"
         else:
-            counts = _windings(cfg, children)
+            counts = _windings(cfg, children, memo)
             if None in counts:
                 reason = "failed winding"
             elif sum(counts) == count:
@@ -370,7 +431,7 @@ def _newton_polish(cfg: PointConfig, box: Box, mult: int, tol: float):
     return None
 
 
-def _locate(cfg: PointConfig, box: Box, count: int, tol: float):
+def _locate(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
     if count == 0:
         return []
     if box.diameter < _POLISH_DIAMETER:
@@ -380,8 +441,8 @@ def _locate(cfg: PointConfig, box: Box, count: int, tol: float):
         if box.diameter < max(10.0 * tol, 1e-12):
             return [(box.center, count)]
     found = []
-    for child, k in _split_counted(cfg, box, count):
-        found.extend(_locate(cfg, child, k, tol))
+    for child, k in _split_counted(cfg, box, count, memo):
+        found.extend(_locate(cfg, child, k, tol, memo))
     return found
 
 
@@ -404,9 +465,10 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
     """
     if tol <= 0.0:
         raise ValueError("find_resonances requires tol > 0")
-    searched, total = _counted_box(cfg, box)
+    memo = _SearchMemo()
+    searched, total = _counted_box(cfg, box, memo)
     roots = []
-    for z, mult in _locate(cfg, searched, total, tol):
+    for z, mult in _locate(cfg, searched, total, tol, memo):
         g = model.gamma_stack(cfg, z)
         roots.append(
             RootRecord(
@@ -417,6 +479,10 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
                 kind=_classify_root(z, tol),
             )
         )
+    logger.debug(
+        "search of %s: %d panels evaluated, %d reused, %d det samples",
+        searched, memo.evaluated, memo.reused, memo.det_samples,
+    )
     roots.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(roots=roots, searched=searched, total_count=total)
 

@@ -10,6 +10,7 @@ is exhaustive.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ _BISECT_MAX_ITER = 200
 _LAURENT_MAX_NODES = 1024
 _LAURENT_STAB_ATOL = 1e-8
 _LAURENT_SIGMA_CUT = 1e-13
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "ConvergenceError",
@@ -230,7 +233,8 @@ def laurent_at_zero(
     Trapezoid sums on a circle are spectrally accurate for the periodic
     integrand; nodes are doubled until both coefficients move by less than
     1e-8 absolute (error), and the radius is halved up to 6 times if the
-    circle grazes a singularity of the inverse.
+    circle grazes a singularity of the inverse.  Each halving is logged at
+    DEBUG on the `deltaspec.spectral` logger.
     """
     if radius <= 0.0:
         raise ValueError("laurent_at_zero requires radius > 0")
@@ -256,6 +260,10 @@ def laurent_at_zero(
             prev = got
             n *= 2
         if shrink:
+            logger.debug(
+                "halving Laurent radius %r: Gamma is near-singular at a node of the "
+                "%d-node circle", r, n,
+            )
             r *= 0.5
             continue
         raise ConvergenceError(

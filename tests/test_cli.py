@@ -80,6 +80,19 @@ def test_parse_config_missing_key(tmp_path):
     assert err.value.pointer == "/points"
 
 
+def test_integer_beyond_double_range_is_a_config_error(tmp_path, capsys):
+    # float(10**400) overflows: the config is rejected with its pointer
+    path = tmp_path / "cfg.json"
+    path.write_text('{"alpha": [1' + "0" * 400 + '], "points": [[0, 0, 0]]}')
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert err.value.pointer == "/alpha/0"
+    code, out, err_text = run(capsys, "spectrum", str(path))
+    assert code == 1
+    assert out == ""
+    assert "/alpha/0: must be finite" in err_text
+
+
 # ---------------------------------------------------------------- subcommands
 
 

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -17,17 +18,21 @@ from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resonance import (
     _GL_W,
     _GL_X,
+    _EDGE_SAMPLES,
     _EDGE_TOL,
     _MAX_EDGE_DEPTH,
     EIGENVALUE_POLE,
     RESONANCE,
     SubdivisionError,
+    _SearchMemo,
+    _admissible,
     _edge_integrals,
     _edges,
     _panel_integrals,
     _trace_logdet,
     _windings,
 )
+import deltaspec.resonance as resonance
 from sphere import (
     distinct_direction,
     exp_sum_on_sphere,
@@ -267,6 +272,82 @@ def test_singular_node_fails_only_its_panel():
     assert _edges(singular)[1] == (a, b)
     assert _windings(cfg, [singular, Box(-1.0, 1.0, -20.0, -1.0)]) == [None, 1]
     assert count_zeros_in_box(cfg, singular) == 0
+
+
+def search_config(seed=777):
+    rng = np.random.default_rng(seed)
+    return random_config(rng, 3, radius=1.2, min_dist=0.5, alpha_scale=2.0)
+
+
+def test_search_evaluates_each_panel_once(monkeypatch, caplog):
+    # record the node set of every panel that reaches the solve; a panel and
+    # its reverse have the same nodes, so a repeat in either orientation shows
+    seen, repeats = set(), []
+    original = resonance._trace_logdet
+
+    def recording(cfg, zs):
+        if np.ndim(zs) == 2:
+            for row in zs:
+                key = frozenset(row.tolist())
+                if key in seen:
+                    repeats.append(key)
+                seen.add(key)
+        return original(cfg, zs)
+
+    monkeypatch.setattr(resonance, "_trace_logdet", recording)
+    box = Box(-5.0, 5.0, -5.0, -0.2)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(search_config(), box)
+    assert found.total_count > 0
+    assert repeats == []
+    [summary] = [m for m in caplog.messages if m.startswith("search of")]
+    evaluated, reused, samples = map(int, re.findall(r"\d+", summary.rsplit(": ", 1)[1]))
+    assert evaluated == len(seen)
+    assert reused > evaluated // 2
+    assert samples > 0 and samples % _EDGE_SAMPLES == 0
+
+
+def test_shared_inner_edges_match_the_reference_in_both_orientations():
+    # the children of a split, counted together after their parent, take
+    # their outer edges from the parent's panels and each inner edge from a
+    # sibling's, reversed; every edge still matches the recursive rule.  The
+    # vertical split line of this box is Re z = 0, and for this config no
+    # zero sits on it (counts 0, 0, 3, 3).
+    cfg = search_config(seed=3)
+    box = Box(-5.0, 5.0, -5.0, -0.2)
+    children = box.split(0.5, 0.5)
+    assert children[0].re_max == 0.0
+    memo = _SearchMemo()
+    _edge_integrals(cfg, [_edges(box)], memo)
+    together = _edge_integrals(cfg, [_edges(child) for child in children], memo)
+    assert memo.reused > 0
+    assert _windings(cfg, children) == [0, 0, 3, 3]
+    for child, got in zip(children, together):
+        for (za, zb), value in zip(_edges(child), got):
+            assert same_bits(edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []), value)
+    # the right edge of the lower-left child is the left edge of the
+    # lower-right child, reversed
+    assert _edges(children[0])[1] == _edges(children[1])[3][::-1]
+
+
+def test_admissible_children_match_single_box_calls():
+    # Gamma vanishes at a sample of the lower half of the vertical split
+    # line, so the two lower children are inadmissible and the upper two not
+    box = Box(-1.0, 1.0, -20.0, -1.0)
+    children = box.split(0.5, 0.5)
+    za, zb = _edges(children[0])[1]
+    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
+    zero = (za + t * (zb - za))[32]
+    for cfg, expected in [
+        (one_center(float((1j * zero / FOUR_PI).real)), [False, False, True, True]),
+        (search_config(), [True, True, True, True]),
+    ]:
+        memo = _SearchMemo()
+        together = _admissible(cfg, children, memo)
+        assert together.tolist() == expected
+        assert [bool(_admissible(cfg, [child])[0]) for child in children] == expected
+        # 16 edges, 4 of them the reverse of another
+        assert memo.det_samples == 12 * _EDGE_SAMPLES
 
 
 def test_fallbacks_are_logged(caplog):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,21 @@ def test_laurent_consistency_with_classification():
             coeffs = laurent_at_zero(cfg)
             assert np.abs(coeffs.A_minus2).max() < 1e-6
             assert np.abs(coeffs.A_minus1).max() < 1e-6
+
+
+def test_laurent_radius_halving_is_logged(caplog):
+    # det Gamma = alpha - iz/4pi vanishes at -0.01i, a node of the default
+    # 64-node circle of radius 0.01: the radius halves once, then converges
+    cfg = PointConfig(alpha=[0.01 / FOUR_PI], points=[ORIGIN])
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+        coeffs = laurent_at_zero(cfg)
+    assert caplog.messages == [
+        "halving Laurent radius 0.01: Gamma is near-singular at a node of the "
+        "64-node circle"
+    ]
+    assert coeffs.radius == 0.005
+    assert np.abs(coeffs.A_minus2).max() < 1e-8
+    assert np.abs(coeffs.A_minus1).max() < 1e-8
 
 
 def test_laurent_input_validation():
