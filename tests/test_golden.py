@@ -1,10 +1,10 @@
 """Golden resonance corpus: find_resonances must reproduce stored roots bit for bit.
 
 Every float in `golden_resonances.json` is stored as `float.hex`, so the
-comparison is exact.  The corpus was written by the resonance finder before
-its edge quadrature was batched; a refactor that keeps the arithmetic must
-keep these records unchanged.  Regenerate (only after a deliberate numerical
-change) with `PYTHONPATH=src python tests/test_golden.py`.
+comparison is exact.  A refactor that keeps the arithmetic must keep these
+records unchanged.  Regenerate (only after a deliberate numerical change)
+with `PYTHONPATH=src python tests/test_golden.py`; it prints, entry by entry,
+what changed against the stored corpus before writing the new one.
 """
 
 import json
@@ -18,9 +18,19 @@ from deltaspec import Box, PointConfig, find_resonances
 
 GOLDEN = Path(__file__).with_name("golden_resonances.json")
 
-# (seed, number of centers); configs as in acceptance criterion 7.
-CORPUS = [(101, 2), (102, 3), (103, 2), (104, 3)]
+# (seed, number of centers, search box); configs as in acceptance criterion 7.
+# The first four boxes are symmetric about Re z = 0, the rest are not.
 SEARCH = (-5.0, 5.0, -5.0, -0.2)
+CORPUS = [
+    (101, 2, SEARCH),
+    (102, 3, SEARCH),
+    (103, 2, SEARCH),
+    (104, 3, SEARCH),
+    (101, 2, (-4.0, 5.0, -5.0, -0.2)),
+    (102, 3, (-5.0, 3.0, -5.0, -0.2)),
+    (103, 2, (0.25, 5.0, -5.0, -0.2)),
+    (104, 3, (-3.0, 4.5, -4.0, -0.3)),
+]
 
 
 def _hex(z: complex) -> list[str]:
@@ -54,7 +64,7 @@ def _config(entry: dict) -> PointConfig:
 
 def _generate() -> list[dict]:
     corpus = []
-    for seed, n in CORPUS:
+    for seed, n, box in CORPUS:
         rng = np.random.default_rng(seed)
         cfg = random_config(rng, n, radius=1.2, min_dist=0.5, alpha_scale=2.0)
         corpus.append(
@@ -62,8 +72,8 @@ def _generate() -> list[dict]:
                 "seed": seed,
                 "alpha": [float(a).hex() for a in cfg.alpha],
                 "points": [[float(c).hex() for c in row] for row in cfg.points],
-                "box": list(SEARCH),
-                **_record(cfg, Box(*SEARCH)),
+                "box": list(box),
+                **_record(cfg, Box(*box)),
             }
         )
     return corpus
@@ -77,5 +87,41 @@ def test_golden_resonances_reproduced_exactly(index):
     assert _record(_config(entry), Box(*entry["box"])) == expected
 
 
+def _z(pair: list[str]) -> complex:
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+def report_changes(old: dict, new: dict, tol: float) -> list[str]:
+    """What changed between two records of one search: the searched box, the
+    total count, the root count, the multiplicities and kinds (roots paired
+    in order), and the largest |dz| against tol."""
+    lines = []
+    for key in ("searched", "total_count"):
+        if old[key] != new[key]:
+            lines.append(f"{key}: {old[key]} -> {new[key]}")
+    a, b = old["roots"], new["roots"]
+    if len(a) != len(b):
+        lines.append(f"root count: {len(a)} -> {len(b)}")
+        return lines
+    for i, (r, s) in enumerate(zip(a, b)):
+        for key in ("multiplicity", "kind"):
+            if r[key] != s[key]:
+                lines.append(f"root {i} {key}: {r[key]} -> {s[key]}")
+    dz = max((abs(_z(r["z"]) - _z(s["z"])) for r, s in zip(a, b)), default=0.0)
+    lines.append(f"max |dz| = {dz:.3g} ({dz / tol:.3g} tol) over {len(b)} roots")
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_generate(), indent=1) + "\n")
+    new = _generate()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    for i, entry in enumerate(new):
+        label = f"[{i}] seed {entry['seed']} box {entry['box']}"
+        if i >= len(old):
+            print(f"{label}: new entry")
+        elif old[i] == entry:
+            print(f"{label}: unchanged")
+        else:
+            for line in report_changes(old[i], entry, tol=1e-10):
+                print(f"{label}: {line}")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

@@ -5,7 +5,9 @@ for byte.
 timestamp dropped from its manifest) and the CSV files of the jobs that write
 one.  Config paths are given relative to `golden_cli/`, so the manifests do
 not depend on where the repository lives.  Regenerate (only after a
-deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`.
+deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`;
+it prints which jobs changed, and for a `resonances` job what changed in its
+roots, before writing the new corpus.
 """
 
 import json
@@ -105,14 +107,45 @@ def test_golden_cli_reproduced_exactly(name, tmp_path):
         assert csv == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def _search_record(text: bytes) -> dict:
+    """A `resonances` job's output in the form of the resonance corpus."""
+    doc = json.loads(text)
+    return {
+        "searched": list(doc["box"].values()),
+        "total_count": doc["total_count"],
+        "roots": [
+            {
+                "z": [r["z"]["re"].hex(), r["z"]["im"].hex()],
+                "multiplicity": r["multiplicity"],
+                "kind": r["kind"],
+            }
+            for r in doc["roots"]
+        ],
+    }
+
+
 def _generate() -> None:
+    from test_golden import report_changes
+
     GOLDEN.mkdir(exist_ok=True)
     for name, cfg in _configs().items():
         doc = {"alpha": cfg.alpha.tolist(), "points": cfg.points.tolist()}
         (GOLDEN / name).write_text(json.dumps(doc) + "\n")
-    for name in JOBS:
+    for name, (argv, _) in JOBS.items():
+        path = GOLDEN / f"{name}.json"
+        old = path.read_bytes() if path.exists() else None
         text, _ = _run(name, GOLDEN)
-        (GOLDEN / f"{name}.json").write_bytes(text)
+        if old is None:
+            print(f"{name}: new job")
+        elif old == text:
+            print(f"{name}: unchanged")
+        elif argv[0] == "resonances":
+            tol = float(json.loads(text)["manifest"]["parameters"]["tol"])
+            for line in report_changes(_search_record(old), _search_record(text), tol):
+                print(f"{name}: {line}")
+        else:
+            print(f"{name}: changed")
+        path.write_bytes(text)
 
 
 if __name__ == "__main__":
