@@ -224,9 +224,9 @@ def _cmd_certify(args) -> dict:
         "num_grid_points": int(cert.z_grid.size),
         "min_sigma_min": float(cert.sigma_min.min()) if cert.sigma_min.size else None,
         "all_cholesky_ok": bool(np.all(cert.cholesky_ok)),
-        "z_grid": [float(v) for v in cert.z_grid],
-        "sigma_min": [float(v) for v in cert.sigma_min],
-        "cholesky_ok": [bool(v) for v in cert.cholesky_ok],
+        "z_grid": cert.z_grid.tolist(),
+        "sigma_min": cert.sigma_min.tolist(),
+        "cholesky_ok": cert.cholesky_ok.tolist(),
     }
 
 

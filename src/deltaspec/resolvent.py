@@ -72,6 +72,12 @@ def _green_vector(cfg: PointConfig, z: complex, x: np.ndarray) -> np.ndarray:
     return np.exp(1j * z * r) / (FOUR_PI * r)
 
 
+def _kernel(cfg: PointConfig, z: complex, ginv: np.ndarray, x, xp) -> complex:
+    gx = _green_vector(cfg, z, x)
+    gxp = _green_vector(cfg, z, xp)
+    return complex(green_kernel(z, x, xp) + gx @ ginv @ gxp)
+
+
 def resolvent_kernel(cfg: PointConfig, z, x, xp) -> complex:
     """Kernel of the perturbed resolvent at energy z**2 (Im z >= 0):
 
@@ -85,17 +91,15 @@ def resolvent_kernel(cfg: PointConfig, z, x, xp) -> complex:
         raise ValueError("resolvent_kernel requires Im z >= 0")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    ginv = _gamma_inverse(cfg, z)
-    gx = _green_vector(cfg, z, x)
-    gxp = _green_vector(cfg, z, xp)
-    return complex(green_kernel(z, x, xp) + gx @ ginv @ gxp)
+    return _kernel(cfg, z, _gamma_inverse(cfg, z), x, xp)
 
 
 def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float | None = None) -> float:
     """|(-Delta_h - z**2) R(., x')|(x) with the 7-point second-order Laplacian.
 
     Requires dist(x, Y and x') > 10 h; the default step is 1e-2 times that
-    distance, balancing truncation against rounding.
+    distance, balancing truncation against rounding.  The seven stencil
+    points share one Gamma^-1.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -110,11 +114,14 @@ def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float | None = None) -> fl
         raise ValueError("helmholtz_residual requires h > 0")
     if clearance <= 10.0 * h:
         raise ValueError("evaluation point is within 10 h of a singularity")
-    center = resolvent_kernel(cfg, z, x, xp)
+    if z.imag < 0.0:
+        raise ValueError("helmholtz_residual requires Im z >= 0")
+    ginv = _gamma_inverse(cfg, z)
+    center = _kernel(cfg, z, ginv, x, xp)
     acc = 0.0 + 0.0j
     for e in np.eye(3):
-        acc += resolvent_kernel(cfg, z, x + h * e, xp)
-        acc += resolvent_kernel(cfg, z, x - h * e, xp)
+        acc += _kernel(cfg, z, ginv, x + h * e, xp)
+        acc += _kernel(cfg, z, ginv, x - h * e, xp)
     lap = (acc - 6.0 * center) / (h * h)
     return abs(-lap - z * z * center)
 

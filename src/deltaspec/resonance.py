@@ -14,6 +14,13 @@ outer edge reuses the panels of its parent's edge, and the inner edge that
 two siblings share in opposite orientation reuses them reversed.  Each
 boundary segment of a batch of boxes is sampled for det Gamma once.
 
+Gamma(-conj z) = conj Gamma(z), so the zero set is symmetric about Re z = 0,
+and on the imaginary axis Gamma(it) is real symmetric.  A search box
+symmetric about Re z = 0 is counted whole, then only its right half
+Re z >= delta is searched; its roots are mirrored to -conj z, and the zeros
+left over are found on the axis as the changes of inertia of Gamma(it).
+When these do not account for the whole count, the full box is searched.
+
 The certificate scans the positive real axis up to the analytic
 large-momentum bound, recording the smallest singular value of Gamma(z) and
 the Cholesky outcome of the sinc Gram matrix at every grid point; beyond the
@@ -42,6 +49,10 @@ _MAX_EDGE_DEPTH = 26
 _EDGE_TOL = 2.0 * np.pi * 2.5e-4
 _POLISH_DIAMETER = 1e-3
 _NEWTON_MAX_STEPS = 50
+# Mirror path: the right half starts at Re z = _MIRROR_GAP * re_max, and the
+# imaginary axis is scanned for inertia changes at _AXIS_SAMPLES points.
+_MIRROR_GAP = 1e-3
+_AXIS_SAMPLES = 256
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 logger = logging.getLogger(__name__)
@@ -136,8 +147,10 @@ class Box:
 
 @dataclass(frozen=True)
 class RootRecord:
-    """A located zero of det Gamma; multiplicity is the winding count of the
-    enclosing leaf box (the order of the zero)."""
+    """A located zero of det Gamma; multiplicity is the order of the zero: the
+    winding count of the enclosing leaf box, or for a zero found on the
+    imaginary axis of a symmetric box, the number of eigenvalues of Gamma(it)
+    that change sign there."""
 
     z: complex
     multiplicity: int
@@ -446,6 +459,75 @@ def _locate(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMem
     return found
 
 
+def _negative_counts(cfg: PointConfig, ts: np.ndarray) -> np.ndarray:
+    """Number of negative eigenvalues of the real symmetric Gamma(it), per t."""
+    g = model.gamma_stack(cfg, 1j * ts).real
+    return np.count_nonzero(np.linalg.eigvalsh(g) < 0.0, axis=-1)
+
+
+def _axis_roots(cfg: PointConfig, box: Box, tol: float):
+    """Zeros of det Gamma on the imaginary axis between box.im_min and
+    box.im_max, each with the size of its inertia jump as multiplicity; None
+    when a zero cannot be polished.
+
+    Gamma(it) is real symmetric, so its inertia changes exactly where an
+    eigenvalue changes sign.  The changes seen on a grid of _AXIS_SAMPLES
+    points are bisected, all brackets together, below _POLISH_DIAMETER and
+    then polished by Newton steps from the bracket midpoint; a polished zero
+    must stay in its bracket.  On the axis tr(Gamma^-1 Gamma') is purely
+    imaginary, so the iterates keep Re z = 0.  A zero where no eigenvalue
+    changes sign (a tangency), or two sign changes that cancel within one
+    grid cell, is not seen here.
+    """
+    ts = np.linspace(box.im_min, box.im_max, _AXIS_SAMPLES)
+    counts = _negative_counts(cfg, ts)
+    k = np.flatnonzero(counts[1:] != counts[:-1])
+    lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
+    while lo.size and (hi - lo).max() >= _POLISH_DIAMETER:
+        mid = 0.5 * (lo + hi)
+        n_mid = _negative_counts(cfg, mid)
+        left, right = n_mid != n_lo, n_mid != n_hi
+        lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
+        n_lo = np.concatenate([n_lo[left], n_mid[right]])
+        n_hi = np.concatenate([n_mid[left], n_hi[right]])
+    roots = []
+    for a, b, jump in zip(lo.tolist(), hi.tolist(), np.abs(n_hi - n_lo).tolist()):
+        half = 0.5 * (b - a)
+        z = _newton_polish(cfg, Box(-half, half, a, b), jump, tol)
+        if z is None or not a <= z.imag <= b:
+            return None
+        roots.append((z, jump))
+    return roots
+
+
+def _mirror_locate(cfg: PointConfig, box: Box, total: int, tol: float, memo: _SearchMemo):
+    """Zeros in a box symmetric about Re z = 0 from its right half, mirrored,
+    and the imaginary axis: (roots, note), or (None, reason) when the full
+    box must be searched instead.
+
+    The total - 2 * right zeros left after the right half must all be found
+    on the axis; a zero in 0 < |Re z| < delta takes two from that share, so
+    it fails the same check as a tangency or a miscount.
+    """
+    delta = _MIRROR_GAP * box.re_max
+    try:
+        right_box = Box(delta, box.re_max, box.im_min, box.im_max)
+        right_box, right = _counted_box(cfg, right_box, memo)
+        found = _locate(cfg, right_box, right, tol, memo)
+    except (BoundaryError, SubdivisionError) as exc:
+        return None, f"right half failed ({exc})"
+    if any(z.real < delta for z, _ in found):
+        return None, "a right-half root polished to Re z < delta"
+    axis = _axis_roots(cfg, box, tol)
+    if axis is None:
+        return None, "an axis root did not polish"
+    on_axis = sum(m for _, m in axis)
+    if on_axis != total - 2 * right:
+        return None, f"{on_axis} axis zeros, expected {total} - 2 * {right}"
+    roots = found + [(-z.conjugate(), m) for z, m in found] + axis
+    return roots, f"mirror path, {right} right-half and {on_axis} axis zeros"
+
+
 def _classify_root(z: complex, tol: float) -> str:
     if abs(z) <= max(100.0 * tol, 1e-8):
         return THRESHOLD
@@ -458,17 +540,36 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
     """Locate all zeros of det Gamma inside the box by recursive quadrisection
     with Newton polishing.
 
+    When the searched box holds zeros and is symmetric about Re z = 0
+    (re_min == -re_max, exactly), only its right half Re z >= 1e-3 * re_max
+    is quadrisected; each root z found there is reported with its exact
+    mirror -conj z, and the remaining zeros are located on the imaginary
+    axis, where Re z = 0.0 exactly and the multiplicity is the number of
+    eigenvalues of Gamma(it) that change sign.  If the right half cannot be searched, or the axis
+    zeros found do not make up the rest of the count (a tangency, or a zero
+    in the gap next to the axis), the whole box is quadrisected instead; the
+    reason is logged at DEBUG.  Both paths give the same roots to rounding.
+
     Zeros on the positive imaginary axis are the eigenvalue poles and are
     cross-labeled as such, not as resonances; a zero at the origin is labeled
     "threshold" and belongs to classify_zero.  The sum of reported
-    multiplicities equals the winding count of the searched box.
+    multiplicities equals the winding count of the searched box.  One DEBUG
+    line per call names the path taken, the right-half and axis counts of the
+    mirror path, and the work done.
     """
     if tol <= 0.0:
         raise ValueError("find_resonances requires tol > 0")
     memo = _SearchMemo()
     searched, total = _counted_box(cfg, box, memo)
+    located = None
+    if total > 0 and searched.re_min == -searched.re_max:
+        located, note = _mirror_locate(cfg, searched, total, tol, memo)
+        if located is None:
+            logger.debug("mirror search of %s falls back to the full box: %s", searched, note)
+    if located is None:
+        located, note = _locate(cfg, searched, total, tol, memo), "full path"
     roots = []
-    for z, mult in _locate(cfg, searched, total, tol, memo):
+    for z, mult in located:
         g = model.gamma_stack(cfg, z)
         roots.append(
             RootRecord(
@@ -480,8 +581,8 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
             )
         )
     logger.debug(
-        "search of %s: %d panels evaluated, %d reused, %d det samples",
-        searched, memo.evaluated, memo.reused, memo.det_samples,
+        "search of %s, %s: %d panels evaluated, %d reused, %d det samples",
+        searched, note, memo.evaluated, memo.reused, memo.det_samples,
     )
     roots.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(roots=roots, searched=searched, total_count=total)

@@ -93,8 +93,9 @@ def _z(pair: list[str]) -> complex:
 
 def report_changes(old: dict, new: dict, tol: float) -> list[str]:
     """What changed between two records of one search: the searched box, the
-    total count, the root count, the multiplicities and kinds (roots paired
-    in order), and the largest |dz| against tol."""
+    total count, the root count, the order of the roots, the multiplicities
+    and kinds, and the largest |dz| against tol.  Each old root is paired
+    with the nearest new one."""
     lines = []
     for key in ("searched", "total_count"):
         if old[key] != new[key]:
@@ -103,11 +104,18 @@ def report_changes(old: dict, new: dict, tol: float) -> list[str]:
     if len(a) != len(b):
         lines.append(f"root count: {len(a)} -> {len(b)}")
         return lines
-    for i, (r, s) in enumerate(zip(a, b)):
+    za, zb = [_z(r["z"]) for r in a], [_z(r["z"]) for r in b]
+    pair = [min(range(len(zb)), key=lambda j: abs(w - zb[j])) for w in za]
+    if sorted(pair) != list(range(len(b))):
+        lines.append(f"roots do not pair up: {pair}")
+        return lines
+    if pair != sorted(pair):
+        lines.append(f"root order: new index of each old root {pair}")
+    for i, j in enumerate(pair):
         for key in ("multiplicity", "kind"):
-            if r[key] != s[key]:
-                lines.append(f"root {i} {key}: {r[key]} -> {s[key]}")
-    dz = max((abs(_z(r["z"]) - _z(s["z"])) for r, s in zip(a, b)), default=0.0)
+            if a[i][key] != b[j][key]:
+                lines.append(f"root {i} {key}: {a[i][key]} -> {b[j][key]}")
+    dz = max((abs(za[i] - zb[j]) for i, j in enumerate(pair)), default=0.0)
     lines.append(f"max |dz| = {dz:.3g} ({dz / tol:.3g} tol) over {len(b)} roots")
     return lines
 

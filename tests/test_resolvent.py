@@ -16,6 +16,7 @@ from deltaspec import (
 )
 from deltaspec.model import FOUR_PI
 from deltaspec.resolvent import radial_boundary_residual
+import deltaspec.resolvent as resolvent
 
 ORIGIN = [0.0, 0.0, 0.0]
 
@@ -118,6 +119,25 @@ def test_helmholtz_residual_second_order():
     r_coarse = helmholtz_residual(cfg, z, x, xp, h=1e-2)
     r_fine = helmholtz_residual(cfg, z, x, xp, h=5e-3)
     assert 3.5 < r_coarse / r_fine < 4.5
+
+
+def test_helmholtz_residual_inverts_gamma_once(monkeypatch):
+    # the seven stencil points share one Gamma^-1, and the residual is the
+    # one the kernel gives point by point
+    rng = np.random.default_rng(85)
+    cfg = random_config(rng, 3, radius=1.0, min_dist=0.5)
+    z, x, xp, h = 1.3 + 0.4j, np.array([2.5, 0.3, -0.2]), np.array([-1.5, 1.0, 0.8]), 1e-2
+    center = resolvent_kernel(cfg, z, x, xp)
+    acc = 0.0 + 0.0j
+    for e in np.eye(3):
+        acc += resolvent_kernel(cfg, z, x + h * e, xp)
+        acc += resolvent_kernel(cfg, z, x - h * e, xp)
+    expected = abs(-(acc - 6.0 * center) / (h * h) - z * z * center)
+    calls = []
+    original = resolvent._gamma_inverse
+    monkeypatch.setattr(resolvent, "_gamma_inverse", lambda *a: calls.append(a) or original(*a))
+    assert helmholtz_residual(cfg, z, x, xp, h=h) == expected
+    assert len(calls) == 1
 
 
 def test_helmholtz_free_kernel_same_order():

@@ -357,12 +357,101 @@ def test_fallbacks_are_logged(caplog):
         count_zeros_in_box(cfg, grazing)
     assert f"shrinking {grazing}: failed winding" in caplog.messages
     caplog.clear()
-    # the midpoint split line x = 0 runs through the zero: the split is nudged
-    box = Box(-1.0, 1.0, -20.0, -1.0)
+    # the midpoint split line y = -4 pi of this box, which is not symmetric
+    # about Re z = 0, runs through the zero: the split is nudged
+    y = -4.0 * np.pi
+    box = Box(-1.0, 1.5, y - 5.0, y + 5.0)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
         found = find_resonances(cfg, box)
     assert found.total_count == 1
     assert f"nudging split of {box} at (0.5, 0.5): failed winding" in caplog.messages
+
+
+# ---------------------------------------------------------------- mirror path
+
+
+def summary_line(messages) -> str:
+    [summary] = [m for m in messages if m.startswith("search of")]
+    return summary
+
+
+@pytest.mark.parametrize("seed", [777, 3, 20, 22])
+def test_mirror_path_pairs_roots_exactly(seed, caplog):
+    # on a box symmetric about Re z = 0 the right half is searched and its
+    # roots mirrored: each off-axis root's partner is exactly -conj(z), and
+    # the axis roots, found on the real symmetric Gamma(it), have Re z = 0.0
+    box = Box(-5.0, 5.0, -5.0, -0.2)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(search_config(seed), box)
+    assert ", mirror path, " in summary_line(caplog.messages)
+    assert found.total_count > 0
+    assert sum(r.multiplicity for r in found.roots) == found.total_count
+    by_z = {r.z: r for r in found.roots}
+    assert len(by_z) == len(found.roots)
+    for r in found.roots:
+        if abs(r.z.real) < 1e-6:
+            assert r.z.real == 0.0
+        else:
+            partner = by_z[-r.z.conjugate()]
+            assert partner.multiplicity == r.multiplicity and partner.kind == r.kind
+
+
+def test_mirror_path_finds_axis_roots():
+    # 3 right-half and 2 axis zeros for this config; at each axis zero one
+    # eigenvalue of the real symmetric Gamma(it) vanishes
+    cfg = search_config(20)
+    found = find_resonances(cfg, Box(-5.0, 5.0, -5.0, -0.2))
+    axis = [r for r in found.roots if r.z.real == 0.0]
+    assert len(axis) == 2 and len(found.roots) == 8
+    for r in axis:
+        assert r.sigma_min < 1e-10
+        assert np.abs(np.linalg.eigvalsh(gamma_stack(cfg, r.z).real)).min() < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_mirror_path_single_center_oracle(alpha, caplog):
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(one_center(alpha), Box(-1.0, 1.0, -20.0, -1.0))
+    assert ", mirror path, 0 right-half and 1 axis zeros: " in summary_line(caplog.messages)
+    [root] = found.roots
+    assert root.z.real == 0.0
+    assert abs(root.z - (-4j * np.pi * alpha)) < 1e-12
+    assert root.multiplicity == 1 and root.kind == RESONANCE
+    # the symmetric box's midpoint split line runs through the zero, but the
+    # mirror path never splits the full box
+    assert not any(m.startswith("nudging split") for m in caplog.messages)
+
+
+def full_box_roots(cfg, box, tol=1e-10):
+    """(z, multiplicity) of the full-box quadrisection, in output order."""
+    memo = _SearchMemo()
+    searched, total = resonance._counted_box(cfg, box, memo)
+    located = resonance._locate(cfg, searched, total, tol, memo)
+    return sorted(located, key=lambda p: (p[0].real, p[0].imag))
+
+
+def test_missed_axis_root_falls_back_to_the_full_box(monkeypatch, caplog):
+    original = resonance._axis_roots
+    monkeypatch.setattr(resonance, "_axis_roots", lambda *args: original(*args)[:-1])
+    cfg, box = search_config(20), Box(-5.0, 5.0, -5.0, -0.2)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(cfg, box)
+    reason = "falls back to the full box: 1 axis zeros, expected 8 - 2 * 3"
+    assert f"mirror search of {found.searched} {reason}" in caplog.messages
+    assert ", full path: " in summary_line(caplog.messages)
+    assert [(r.z, r.multiplicity) for r in found.roots] == full_box_roots(cfg, box)
+
+
+def test_tangent_zero_on_the_axis_falls_back(caplog):
+    # det Gamma ~ c z^2 at the origin and no eigenvalue of Gamma(it) changes
+    # sign there, so the axis holds no inertia jump
+    cfg = two_center_config(-1.0 / FOUR_PI, 1.0)
+    box = Box(-0.1, 0.1, -0.1, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(cfg, box)
+    reason = "falls back to the full box: 0 axis zeros, expected 2 - 2 * 0"
+    assert f"mirror search of {box} {reason}" in caplog.messages
+    assert [(r.z, r.multiplicity) for r in found.roots] == full_box_roots(cfg, box)
 
 
 # ---------------------------------------------------------------- certificate
