@@ -51,7 +51,6 @@ from .resolvent import (
     DomainFunction,
     GaussianTestFunction,
     boundary_condition_residual,
-    domain_function_eval,
     helmholtz_residual,
     resolvent_kernel,
 )
@@ -92,6 +91,5 @@ __all__ = [
     "DomainFunction",
     "resolvent_kernel",
     "helmholtz_residual",
-    "domain_function_eval",
     "boundary_condition_residual",
 ]

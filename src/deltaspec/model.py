@@ -181,22 +181,22 @@ def gamma_pair_stack(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
     return g, -1j * phase / FOUR_PI
 
 
-def gamma_imag_axis(cfg: PointConfig, lam: float) -> np.ndarray:
-    """Gamma(i*lam) for real lam >= 0, assembled directly as a real symmetric matrix.
+def gamma_imag_axis(cfg: PointConfig, ts) -> np.ndarray:
+    """Gamma(i*t) at a batch of real t, assembled directly as real symmetric
+    matrices: diagonal alpha_j + t/4pi, off-diagonal -exp(-t d)/(4 pi d).
 
-    Diagonal alpha_j + lam/4pi, off-diagonal -exp(-lam d)/(4 pi d).
+    The formula holds for every real t; t > 0 is the bound-state semi-axis,
+    t < 0 the part of the imaginary axis below the real one.  `ts` may have
+    any shape, a scalar included; the result has shape ts.shape + (N, N).
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("gamma_imag_axis requires lam >= 0")
-    n = cfg.n
+    ts = np.asarray(ts, dtype=float)
     d = cfg.distances
-    off = ~np.eye(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coupling = -np.exp(-lam * d) / (FOUR_PI * d)
-    out = np.where(off, coupling, 0.0)
-    idx = np.arange(n)
-    out[idx, idx] = cfg.alpha + lam / FOUR_PI
+        out = -ts[..., None, None] * d
+        np.exp(out, out=out)
+        out /= -FOUR_PI * d  # in place: one full-size array per batch
+    idx = np.arange(cfg.n)
+    out[..., idx, idx] = cfg.alpha + ts[..., None] / FOUR_PI
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "resolvent_kernel",
     "helmholtz_residual",
     "DomainFunction",
-    "domain_function_eval",
     "boundary_condition_residual",
     "radial_boundary_residual",
 ]
@@ -142,12 +141,6 @@ class DomainFunction:
         x = np.asarray(x, dtype=float)
         g = _green_vector(self.cfg, self.z, x)
         return complex(self.trial(x) + self.charges @ g)
-
-
-def domain_function_eval(cfg: PointConfig, z, trial, x) -> complex:
-    """Value at x of the domain element induced by `trial`; build a
-    DomainFunction directly when evaluating at many points."""
-    return DomainFunction(cfg, z, trial)(x)
 
 
 def radial_boundary_residual(u, center, alpha_j: float, r: float) -> float:

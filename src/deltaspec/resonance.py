@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import linalg, model, spectral
 from .model import PointConfig
 
 # Boundary admissibility: smallest |det| allowed on sampled boundary points.
@@ -459,12 +459,6 @@ def _locate(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMem
     return found
 
 
-def _negative_counts(cfg: PointConfig, ts: np.ndarray) -> np.ndarray:
-    """Number of negative eigenvalues of the real symmetric Gamma(it), per t."""
-    g = model.gamma_stack(cfg, 1j * ts).real
-    return np.count_nonzero(np.linalg.eigvalsh(g) < 0.0, axis=-1)
-
-
 def _axis_roots(cfg: PointConfig, box: Box, tol: float):
     """Zeros of det Gamma on the imaginary axis between box.im_min and
     box.im_max, each with the size of its inertia jump as multiplicity; None
@@ -472,26 +466,20 @@ def _axis_roots(cfg: PointConfig, box: Box, tol: float):
 
     Gamma(it) is real symmetric, so its inertia changes exactly where an
     eigenvalue changes sign.  The changes seen on a grid of _AXIS_SAMPLES
-    points are bisected, all brackets together, below _POLISH_DIAMETER and
-    then polished by Newton steps from the bracket midpoint; a polished zero
-    must stay in its bracket.  On the axis tr(Gamma^-1 Gamma') is purely
-    imaginary, so the iterates keep Re z = 0.  A zero where no eigenvalue
-    changes sign (a tangency), or two sign changes that cancel within one
-    grid cell, is not seen here.
+    points are bisected by the inertia bisection the bound-state spectrum
+    uses (`spectral._inertia_brackets`), each bracket until it is narrower
+    than _POLISH_DIAMETER, and then polished by Newton steps from the bracket
+    midpoint; a polished zero must stay in its bracket.  On the axis
+    tr(Gamma^-1 Gamma') is purely imaginary, so the iterates keep Re z = 0.
+    A zero where no eigenvalue changes sign (a tangency), or two sign changes
+    that cancel within one grid cell, is not seen here.
     """
     ts = np.linspace(box.im_min, box.im_max, _AXIS_SAMPLES)
-    counts = _negative_counts(cfg, ts)
-    k = np.flatnonzero(counts[1:] != counts[:-1])
-    lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
-    while lo.size and (hi - lo).max() >= _POLISH_DIAMETER:
-        mid = 0.5 * (lo + hi)
-        n_mid = _negative_counts(cfg, mid)
-        left, right = n_mid != n_lo, n_mid != n_hi
-        lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
-        n_lo = np.concatenate([n_lo[left], n_mid[right]])
-        n_hi = np.concatenate([n_mid[left], n_hi[right]])
+    lo, hi, jumps, _, _ = spectral._inertia_brackets(
+        cfg, ts, spectral._inertia(cfg, ts), lambda a, b: b - a < _POLISH_DIAMETER
+    )
     roots = []
-    for a, b, jump in zip(lo.tolist(), hi.tolist(), np.abs(n_hi - n_lo).tolist()):
+    for a, b, jump in zip(lo.tolist(), hi.tolist(), jumps.tolist()):
         half = 0.5 * (b - a)
         z = _newton_polish(cfg, Box(-half, half, a, b), jump, tol)
         if z is None or not a <= z.imag <= b:
@@ -660,6 +648,11 @@ def certify_real_axis(
                 chol_ok[sl.start + i] = not isinstance(
                     linalg.cholesky(grams[i]), linalg.NotPositiveDefinite
                 )
+            logger.debug(
+                "certify grid points %d-%d: batched Cholesky failed, so %d points "
+                "took the per-matrix Cholesky and %d of them passed",
+                sl.start, sl.stop - 1, grams.shape[0], int(chol_ok[sl].sum()),
+            )
 
     covers = grid.size > 0 and float(grid[-1]) >= z_star
     verdict = bool(covers and np.all(sigma > sigma_threshold) and np.all(chol_ok))

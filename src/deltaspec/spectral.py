@@ -1,11 +1,16 @@
 """Discrete spectrum, zero-energy threshold classification, and Laurent
 coefficients of the inverse characteristic matrix at the origin.
 
-The negative-eigenvalue solver walks the ordered eigenvalue curves of
-Gamma(i*lam), which are strictly increasing in lam (their lam-derivative is
-1/4pi times the Gram matrix of exp(-lam|x|), a positive definite function),
-so every curve that starts negative crosses zero exactly once and bisection
-is exhaustive.
+The ordered eigenvalue curves of Gamma(i*lam) are strictly increasing in
+lam (their lam-derivative is 1/4pi times the Gram matrix of exp(-lam|x|), a
+positive definite function), so every curve that starts negative crosses
+zero exactly once and the inertia, the number of negative eigenvalues, falls
+by one at each crossing.  The negative-eigenvalue solver bisects the inertia
+with all brackets in one batch per level.  The k-th curve is negative at a
+midpoint exactly when the inertia there exceeds k, so each bracket a
+per-curve bisection would keep is one of the brackets kept here, and the
+crossings are the same bit for bit.  The resonance search uses the same
+bisection for the zeros of det Gamma on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ ZERO_RESONANCE = "ZeroResonance"
 ZERO_EIGENVALUE = "ZeroEigenvalue"
 MIXED = "Mixed"
 
-_BISECT_MAX_ITER = 200
 _LAURENT_MAX_NODES = 1024
 _LAURENT_STAB_ATOL = 1e-8
 _LAURENT_SIGMA_CUT = 1e-13
@@ -77,45 +81,65 @@ class SpectralReport:
         return sum(rec.multiplicity for rec in self.eigenvalues)
 
 
-def _ordered_eigenvalue(cfg: PointConfig, lam: float, k: int) -> float:
-    return float(np.linalg.eigvalsh(gamma_imag_axis(cfg, lam))[k])
+def _inertia(cfg: PointConfig, ts: np.ndarray) -> np.ndarray:
+    """Number of negative eigenvalues of the real symmetric Gamma(it), per t."""
+    return np.count_nonzero(np.linalg.eigvalsh(gamma_imag_axis(cfg, ts)) < 0.0, axis=-1)
+
+
+def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray, narrow):
+    """Brackets (lo, hi, inertia jump) of t across which `counts`, the inertia
+    of Gamma(it) on the grid ts, changes, bisected until narrow(lo, hi) holds
+    or lo, hi are adjacent floats (spectrum slicing; Barth, Martin & Wilkinson
+    1967).  Each level counts the inertia at every midpoint with one batched
+    eigvalsh and keeps each half across which it changes.  Also returns the
+    number of levels and of midpoint matrices factored."""
+    k = np.flatnonzero(counts[1:] != counts[:-1])
+    lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
+    final, levels, matrices = [], 0, 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        stop = narrow(lo, hi) | (mid <= lo) | (mid >= hi)
+        final.append((lo[stop], hi[stop], np.abs(n_hi - n_lo)[stop]))
+        lo, hi, n_lo, n_hi, mid = lo[~stop], hi[~stop], n_lo[~stop], n_hi[~stop], mid[~stop]
+        if not lo.size:
+            break
+        n_mid = _inertia(cfg, mid)
+        levels, matrices = levels + 1, matrices + mid.size
+        left, right = n_mid != n_lo, n_mid != n_hi
+        lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
+        n_lo = np.concatenate([n_lo[left], n_mid[right]])
+        n_hi = np.concatenate([n_mid[left], n_hi[right]])
+    return (*(np.concatenate(parts) for parts in zip(*final)), levels, matrices)
 
 
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
     """Locate all negative eigenvalues -lam**2 (lam > 0) with multiplicities.
 
-    Each ordered eigenvalue curve of Gamma(i*lam) that is negative at lam=0
-    is bisected to its unique zero crossing on [0, lam_hi], where lam_hi is
-    the Gershgorin bound past which the matrix is positive definite.
-    Bisection runs to near machine width; `tol` governs the merging of
-    near-degenerate crossings (merge radius tol*(1+lam)) and the kernel
-    extraction threshold.
+    The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi], where
+    lam_hi is the Gershgorin bound past which the matrix is positive
+    definite, is bisected with all brackets in one batch per level, each to
+    width 5e-14 * (1 + lam).  Every final bracket gives one crossing per unit
+    of its inertia jump, at its midpoint.  `tol` still governs the merging of
+    near-degenerate crossings (merge radius tol*(1+lam); a merge of crossings
+    from different brackets is logged at DEBUG, since a heuristic then sets
+    the multiplicity), the threshold below which a crossing belongs to z = 0,
+    and the kernel extraction.  One DEBUG line per call on
+    `deltaspec.spectral` gives the bisection levels, the matrices factored,
+    the crossings and the records.
     """
     if tol <= 0.0:
         raise ValueError("negative_eigenvalues requires tol > 0")
     lam_hi = row_sum_bound(cfg) + 1.0
-    mu0 = np.linalg.eigvalsh(gamma_imag_axis(cfg, 0.0))
-    mu_hi = np.linalg.eigvalsh(gamma_imag_axis(cfg, lam_hi))
-    if mu_hi[0] <= 0.0:
+    ends = np.array([0.0, lam_hi])
+    mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
+    if mu[1, 0] <= 0.0:
         raise ConvergenceError("upper bisection bracket is not positive definite")
-
-    crossings = []
-    for k in np.flatnonzero(mu0 < 0.0):
-        a, b = 0.0, lam_hi
-        for _ in range(_BISECT_MAX_ITER):
-            if b - a <= 5e-14 * (1.0 + b):
-                break
-            mid = 0.5 * (a + b)
-            if _ordered_eigenvalue(cfg, mid, int(k)) < 0.0:
-                a = mid
-            else:
-                b = mid
-        else:
-            raise ConvergenceError(f"bisection on curve {k} did not converge")
-        crossings.append(0.5 * (a + b))
+    lo, hi, jumps, levels, matrices = _inertia_brackets(
+        cfg, ends, np.count_nonzero(mu < 0.0, axis=-1), lambda a, b: b - a <= 5e-14 * (1.0 + b)
+    )
 
     # Crossings at lam <= tol belong to the threshold, not the spectrum.
-    crossings = sorted(lam for lam in crossings if lam > tol)
+    crossings = sorted(lam for lam in np.repeat(0.5 * (lo + hi), jumps).tolist() if lam > tol)
 
     records = []
     i = 0
@@ -126,6 +150,12 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         group = crossings[i:j]
         lam_star = float(np.mean(group))
         mult = len(group)
+        if group[0] != group[-1]:
+            logger.debug(
+                "merging %d crossings from %d brackets into lam %r: the merge radius "
+                "tol*(1+lam), not an inertia jump, sets the multiplicity",
+                mult, len(set(group)), lam_star,
+            )
         eig = linalg.sym_eigen(gamma_imag_axis(cfg, lam_star))
         order = np.argsort(np.abs(eig.values))
         coeffs = [eig.vectors[:, int(c)].copy() for c in order[:mult]]
@@ -138,6 +168,10 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
             )
         )
         i = j
+    logger.debug(
+        "spectrum: %d bisection levels, %d matrices factored, %d crossings, %d records",
+        levels, ends.size + matrices, len(crossings), len(records),
+    )
     return SpectralReport(eigenvalues=records)
 
 

@@ -6,8 +6,9 @@ timestamp dropped from its manifest) and the CSV files of the jobs that write
 one.  Config paths are given relative to `golden_cli/`, so the manifests do
 not depend on where the repository lives.  Regenerate (only after a
 deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`;
-it prints which jobs changed, and for a `resonances` job what changed in its
-roots, before writing the new corpus.
+it prints which jobs changed, for a `resonances` job what changed in its
+roots, and for a `spectrum` job what changed in its records, before writing
+the new corpus.
 """
 
 import json
@@ -124,6 +125,36 @@ def _search_record(text: bytes) -> dict:
     }
 
 
+def spectrum_changes(old: bytes, new: bytes) -> list[str]:
+    """What changed between two outputs of a `spectrum` job: the record
+    count, the multiplicity of each record, and the largest |dlam|."""
+    a, b = (json.loads(text)["eigenvalues"] for text in (old, new))
+    if len(a) != len(b):
+        return [f"record count: {len(a)} -> {len(b)}"]
+    lines = [
+        f"record {i} multiplicity: {r['multiplicity']} -> {s['multiplicity']}"
+        for i, (r, s) in enumerate(zip(a, b))
+        if r["multiplicity"] != s["multiplicity"]
+    ]
+    dlam = max((abs(r["lambda"] - s["lambda"]) for r, s in zip(a, b)), default=0.0)
+    lines.append(f"max |dlam| = {dlam:.3g} over {len(b)} records")
+    return lines
+
+
+def test_spectrum_changes_report():
+    old = (GOLDEN / "n5-spectrum.json").read_bytes()
+    doc = json.loads(old)
+    assert spectrum_changes(old, old) == ["max |dlam| = 0 over 2 records"]
+    doc["eigenvalues"][1]["lambda"] += 2.5e-12
+    doc["eigenvalues"][0]["multiplicity"] = 2
+    new = json.dumps(doc).encode()
+    assert spectrum_changes(old, new) == [
+        "record 0 multiplicity: 1 -> 2", "max |dlam| = 2.5e-12 over 2 records"
+    ]
+    del doc["eigenvalues"][0]
+    assert spectrum_changes(old, json.dumps(doc).encode()) == ["record count: 2 -> 1"]
+
+
 def _generate() -> None:
     from test_golden import report_changes
 
@@ -142,6 +173,9 @@ def _generate() -> None:
         elif argv[0] == "resonances":
             tol = float(json.loads(text)["manifest"]["parameters"]["tol"])
             for line in report_changes(_search_record(old), _search_record(text), tol):
+                print(f"{name}: {line}")
+        elif argv[0] == "spectrum":
+            for line in spectrum_changes(old, text):
                 print(f"{name}: {line}")
         else:
             print(f"{name}: changed")

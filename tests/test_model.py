@@ -147,11 +147,16 @@ def test_gamma_scaling_property(lam, re, im):
 def test_gamma_imag_axis_matches_complex_assembly():
     rng = np.random.default_rng(6)
     cfg = random_config(rng, 4)
-    for lam in (0.0, 0.5, 7.0):
+    lams = (0.0, 0.5, 7.0, -0.05, -0.5)
+    for lam in lams:
         direct = gamma_imag_axis(cfg, lam)
         via_complex = gamma_stack(cfg, 1j * lam)
         np.testing.assert_allclose(direct, via_complex.real, rtol=0, atol=1e-14)
         np.testing.assert_allclose(via_complex.imag, 0.0, rtol=0, atol=1e-16)
+    batch = gamma_imag_axis(cfg, np.array(lams))
+    assert batch.shape == (len(lams), 4, 4)
+    for row, lam in zip(batch, lams):
+        assert np.array_equal(row, gamma_imag_axis(cfg, lam))
 
 
 # ---------------------------------------------------------------- derivative

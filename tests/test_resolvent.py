@@ -9,7 +9,6 @@ from deltaspec import (
     SingularityError,
     SingularMatrixError,
     boundary_condition_residual,
-    domain_function_eval,
     green_kernel,
     helmholtz_residual,
     resolvent_kernel,
@@ -210,14 +209,13 @@ def test_domain_function_linearity():
     combined = DomainFunction(cfg, z, f_sum)(x)
     separate = DomainFunction(cfg, z, f1)(x) + DomainFunction(cfg, z, f2)(x)
     assert combined == pytest.approx(separate, rel=1e-13)
-    assert domain_function_eval(cfg, z, f_sum, x) == pytest.approx(combined)
 
 
 def test_domain_function_rejects_center_coincidence():
     cfg = two_center_config(0.5, 1.0)
     trial = GaussianTestFunction(center=[0.3, 0.0, 0.0], width=1.0)
     with pytest.raises(SingularityError):
-        domain_function_eval(cfg, 1j, trial, ORIGIN)
+        DomainFunction(cfg, 1j, trial)(ORIGIN)
 
 
 def test_gaussian_laplacian_closed_form():

@@ -528,6 +528,26 @@ def test_certificate_large_n_gram_precision_exhaustion():
         assert not cert.verdict
 
 
+def test_certificate_logs_per_matrix_cholesky_fallback(caplog):
+    # the N=40 config above: the batched Cholesky of the first chunk fails,
+    # every point of it takes the per-matrix Cholesky, and the chunk's counts
+    # are logged; the certificate itself is unchanged by the logging
+    rng = np.random.default_rng(5150)
+    cfg = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        cert = certify_real_axis(cfg, grid_step=0.05, z_max=1.0)
+    passed = int(cert.cholesky_ok.sum())
+    assert 0 < passed < cert.z_grid.size == 20
+    assert caplog.messages == [
+        "certify grid points 0-19: batched Cholesky failed, so 20 points took the "
+        f"per-matrix Cholesky and {passed} of them passed"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        certify_real_axis(two_center_config(0.5, 1.3), grid_step=0.07)
+    assert caplog.messages == []
+
+
 def test_certificate_grid_spans_interval():
     cfg = two_center_config(0.5, 1.3)
     cert = certify_real_axis(cfg, grid_step=0.07)

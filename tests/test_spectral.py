@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from deltaspec import (
     laurent_at_zero,
     negative_eigenvalues,
 )
-from deltaspec.linalg import NotPositiveDefinite, cholesky
-from deltaspec.model import FOUR_PI, gamma_imag_axis
+from deltaspec.linalg import NotPositiveDefinite, cholesky, sym_eigen
+from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
 from deltaspec.spectral import MIXED, REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
+import deltaspec.spectral as spectral
 from sphere import sphere_points
 
 ORIGIN = [0.0, 0.0, 0.0]
@@ -137,6 +139,161 @@ def test_degenerate_crossings_merge():
     assert mults == [1, 2]
     for rec in report.eigenvalues:
         assert len(rec.coefficients) == rec.multiplicity
+
+
+# ---------------------------------------------------------------- inertia bisection
+
+
+def per_curve_reference(cfg, tol=1e-10):
+    """The per-curve bisection the inertia bisection replaced: each ordered
+    eigenvalue curve negative at 0 is bisected on its own, one eigvalsh per
+    step, then crossings are merged and kernels extracted as in the library.
+    Returns (lam, energy, multiplicity, coefficients) per record."""
+    lam_hi = row_sum_bound(cfg) + 1.0
+    mu0 = np.linalg.eigvalsh(gamma_imag_axis(cfg, 0.0))
+    assert np.linalg.eigvalsh(gamma_imag_axis(cfg, lam_hi))[0] > 0.0
+    crossings = []
+    for k in np.flatnonzero(mu0 < 0.0):
+        a, b = 0.0, lam_hi
+        while b - a > 5e-14 * (1.0 + b):
+            mid = 0.5 * (a + b)
+            if float(np.linalg.eigvalsh(gamma_imag_axis(cfg, mid))[k]) < 0.0:
+                a = mid
+            else:
+                b = mid
+        crossings.append(0.5 * (a + b))
+    crossings = sorted(lam for lam in crossings if lam > tol)
+    records = []
+    i = 0
+    while i < len(crossings):
+        j = i + 1
+        while j < len(crossings) and crossings[j] - crossings[i] <= tol * (1.0 + crossings[j]):
+            j += 1
+        lam_star = float(np.mean(crossings[i:j]))
+        eig = sym_eigen(gamma_imag_axis(cfg, lam_star))
+        order = np.argsort(np.abs(eig.values))
+        coeffs = [eig.vectors[:, int(c)].copy() for c in order[: j - i]]
+        records.append((lam_star, -lam_star * lam_star, j - i, coeffs))
+        i = j
+    return records
+
+
+def clustered_config(seed, n):
+    """n centers in n // 8 tight clusters, with strengths shifted together so
+    that Gamma(0) has exactly 3n/4 negative eigenvalues."""
+    rng = np.random.default_rng(seed)
+    hubs = random_config(rng, n // 8, radius=6.0, min_dist=2.5).points
+    pts = np.vstack([h + random_config(rng, 8, radius=0.8, min_dist=0.2).points for h in hubs])
+    alpha = rng.uniform(-2.0, 2.0, size=n)
+    mu = np.linalg.eigvalsh(gamma_imag_axis(PointConfig(alpha=alpha, points=pts), 0.0))
+    k = 3 * n // 4
+    return PointConfig(alpha=alpha - 0.5 * (mu[k - 1] + mu[k]), points=pts)
+
+
+def equilateral_config():
+    d = 1.0
+    pts = [[0, 0, 0], [d, 0, 0], [d / 2, d * np.sqrt(3) / 2, 0]]
+    return PointConfig(alpha=[-0.3, -0.3, -0.3], points=pts)
+
+
+def reference_configs():
+    configs = []
+    rng = np.random.default_rng(41)
+    configs += [random_config(rng, int(rng.integers(1, 6)), alpha_scale=3.0) for _ in range(10)]
+    rng = np.random.default_rng(42)
+    configs += [random_config(rng, int(rng.integers(1, 7)), alpha_scale=3.0) for _ in range(15)]
+    configs.append(equilateral_config())
+    for d in (0.5, 1.0, 2.0):
+        configs += [two_center_config(a, d) for a in (-2.0, -1.0, -1.0 / (FOUR_PI * d) - 0.1)]
+    configs.append(clustered_config(48, 48))
+    return configs
+
+
+@pytest.mark.parametrize("index", range(len(reference_configs())))
+def test_inertia_bisection_matches_per_curve_reference_exactly(index):
+    cfg = reference_configs()[index]
+    expect = per_curve_reference(cfg)
+    got = negative_eigenvalues(cfg).eigenvalues
+    assert len(got) == len(expect)
+    for rec, (lam, energy, mult, coeffs) in zip(got, expect):
+        assert rec.lam == lam
+        assert rec.energy == energy
+        assert rec.multiplicity == mult
+        assert len(rec.coefficients) == len(coeffs)
+        assert all(np.array_equal(c, e) for c, e in zip(rec.coefficients, coeffs))
+
+
+def test_clustered_reference_config_has_three_quarters_bound_states():
+    cfg = reference_configs()[-1]
+    assert cfg.n == 48
+    assert negative_eigenvalues(cfg).total_multiplicity == 36
+
+
+def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
+    cfg = clustered_config(32, 32)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+        report = negative_eigenvalues(cfg)
+    assert report.total_multiplicity == 24
+    # the per-curve bisection made about 24 * 45 calls, one matrix each
+    assert len(calls) <= 64
+    levels, matrices, crossings, records = map(
+        int, re.fullmatch(
+            r"spectrum: (\d+) bisection levels, (\d+) matrices factored, "
+            r"(\d+) crossings, (\d+) records",
+            caplog.messages[-1],
+        ).groups()
+    )
+    assert len(calls) == levels + 1
+    assert matrices == sum(int(np.prod(shape)) for shape in calls)
+    assert (crossings, records) == (24, len(report.eigenvalues))
+
+
+def test_inertia_bisection_stops_at_adjacent_floats():
+    # near t = 2**45 neighbouring doubles are 2**-7 apart, wider than the
+    # resonance search's 1e-3 stopping width: such a bracket cannot be halved
+    # and is returned as it is instead of being bisected forever
+    cfg = two_center_config(-1.0, 1.0)
+    t = 2.0 ** 45
+    ts = np.array([t, np.nextafter(t, np.inf)])
+    lo, hi, jumps, levels, matrices = spectral._inertia_brackets(
+        cfg, ts, np.array([2, 0]), lambda a, b: b - a < 1e-3
+    )
+    assert (lo.tolist(), hi.tolist(), jumps.tolist()) == ([ts[0]], [ts[1]], [2])
+    assert (levels, matrices) == (0, 0)
+
+
+def test_spectrum_logs_merges_across_brackets(caplog):
+    # two equal centers 2 apart: the symmetric and antisymmetric crossings
+    # differ by about 1e-11, more than a final bracket is wide and less than
+    # the merge radius, so the tol merge sets the multiplicity
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+        report = negative_eigenvalues(two_center_config(-1.0, 2.0))
+    assert [rec.multiplicity for rec in report.eigenvalues] == [2]
+    lam = report.eigenvalues[0].lam
+    assert caplog.messages == [
+        f"merging 2 crossings from 2 brackets into lam {lam!r}: the merge radius "
+        "tol*(1+lam), not an inertia jump, sets the multiplicity",
+        # 45 levels; the crossings share a bracket for all but the last six
+        "spectrum: 45 bisection levels, 53 matrices factored, 2 crossings, 1 records",
+    ]
+
+
+def test_spectrum_multiplicity_from_one_inertia_jump_is_not_logged_as_merge(caplog):
+    # 10 apart the two crossings agree to rounding and share one final
+    # bracket: the inertia jumps by 2 there, and no merge is logged
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+        report = negative_eigenvalues(two_center_config(-1.0, 10.0))
+    assert [rec.multiplicity for rec in report.eigenvalues] == [2]
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].endswith(", 2 crossings, 1 records")
 
 
 # ---------------------------------------------------------------- eigenfunction
