@@ -19,17 +19,7 @@ from .model import (
     sinc,
     sinc_gram,
 )
-from .linalg import (
-    NotPositiveDefinite,
-    SingularMatrixError,
-    SymEigen,
-    cholesky,
-    lu_det,
-    min_singular_value,
-    null_space,
-    solve,
-    sym_eigen,
-)
+from .linalg import SingularMatrixError, null_space
 from .spectral import (
     LaurentCoefficients,
     SpectralReport,
@@ -66,13 +56,6 @@ __all__ = [
     "sinc",
     "sinc_gram",
     "SingularMatrixError",
-    "SymEigen",
-    "NotPositiveDefinite",
-    "lu_det",
-    "solve",
-    "sym_eigen",
-    "cholesky",
-    "min_singular_value",
     "null_space",
     "SpectralReport",
     "ZeroClassification",

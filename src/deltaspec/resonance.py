@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model, spectral
+from . import model, spectral
 from .model import PointConfig
 
 # Boundary admissibility: smallest |det| allowed on sampled boundary points.
@@ -54,6 +54,9 @@ _NEWTON_MAX_STEPS = 50
 _MIRROR_GAP = 1e-3
 _AXIS_SAMPLES = 256
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Certificate: z_star = row-sum bound + margin; passing sigma_min > threshold.
+CERTIFY_MARGIN = 1.0
+CERTIFY_SIGMA_THRESHOLD = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -563,8 +566,8 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
             RootRecord(
                 z=z,
                 multiplicity=mult,
-                abs_det=abs(linalg.lu_det(g)),
-                sigma_min=linalg.min_singular_value(g),
+                abs_det=float(abs(np.linalg.det(g))),
+                sigma_min=float(np.linalg.svd(g, compute_uv=False)[-1]),
                 kind=_classify_root(z, tol),
             )
         )
@@ -612,20 +615,17 @@ def _chunked(n: int, size: int):
 def certify_real_axis(
     cfg: PointConfig,
     grid_step: float | None = None,
-    margin: float = 1.0,
-    sigma_threshold: float = 1e-10,
     z_max: float | None = None,
 ) -> Certificate:
     """Scan z in (0, z_star] and certify that Gamma(z) stays non-singular.
 
-    z_star = 4 pi max|alpha| + (N-1)/d_min + margin; above it the diagonal
-    -iz/4pi dominates (sigma_min >= z/4pi - row-sum bound > 0), so only the
-    grid below needs scanning.  Default grid step 1e-2 * min(1, d_min)
-    resolves the oscillation scale of exp(iz d_min); override for speed.
+    z_star = 4 pi max|alpha| + (N-1)/d_min + CERTIFY_MARGIN; above it the
+    diagonal -iz/4pi dominates (sigma_min >= z/4pi - row-sum bound > 0), so
+    only the grid below needs scanning.  Default grid step 1e-2 * min(1, d_min)
+    resolves the oscillation scale of exp(iz d_min); override for speed.  Each
+    point's Cholesky verdict is LAPACK's on its own Gram matrix alone.
     """
-    if margin <= 0.0:
-        raise ValueError("certify_real_axis requires margin > 0")
-    z_star = model.row_sum_bound(cfg) + margin
+    z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
     if grid_step is None:
         grid_step = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
     if grid_step <= 0.0:
@@ -640,14 +640,15 @@ def certify_real_axis(
         zs = grid[sl]
         sigma[sl] = np.linalg.svd(model.gamma_stack(cfg, zs), compute_uv=False)[:, -1]
         grams = model.sinc_gram(cfg, zs)
+        chol_ok[sl] = True
         try:
             np.linalg.cholesky(grams)
-            chol_ok[sl] = True
         except np.linalg.LinAlgError:
-            for i in range(grams.shape[0]):
-                chol_ok[sl.start + i] = not isinstance(
-                    linalg.cholesky(grams[i]), linalg.NotPositiveDefinite
-                )
+            for i, gram in enumerate(grams, sl.start):
+                try:
+                    np.linalg.cholesky(gram)
+                except np.linalg.LinAlgError:
+                    chol_ok[i] = False
             logger.debug(
                 "certify grid points %d-%d: batched Cholesky failed, so %d points "
                 "took the per-matrix Cholesky and %d of them passed",
@@ -655,7 +656,7 @@ def certify_real_axis(
             )
 
     covers = grid.size > 0 and float(grid[-1]) >= z_star
-    verdict = bool(covers and np.all(sigma > sigma_threshold) and np.all(chol_ok))
+    verdict = bool(covers and np.all(sigma > CERTIFY_SIGMA_THRESHOLD) and np.all(chol_ok))
     grid.setflags(write=False)
     sigma.setflags(write=False)
     chol_ok.setflags(write=False)
@@ -665,6 +666,6 @@ def certify_real_axis(
         cholesky_ok=chol_ok,
         z_star=z_star,
         verdict=verdict,
-        threshold=sigma_threshold,
+        threshold=CERTIFY_SIGMA_THRESHOLD,
         grid_step=float(grid_step),
     )

@@ -156,9 +156,9 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
                 "tol*(1+lam), not an inertia jump, sets the multiplicity",
                 mult, len(set(group)), lam_star,
             )
-        eig = linalg.sym_eigen(gamma_imag_axis(cfg, lam_star))
-        order = np.argsort(np.abs(eig.values))
-        coeffs = [eig.vectors[:, int(c)].copy() for c in order[:mult]]
+        values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
+        order = np.argsort(np.abs(values))
+        coeffs = [vectors[:, int(c)].copy() for c in order[:mult]]
         records.append(
             EigenvalueRecord(
                 lam=lam_star,

@@ -22,7 +22,6 @@ from deltaspec import (
     gamma_stack,
     helmholtz_residual,
     laurent_at_zero,
-    min_singular_value,
     negative_eigenvalues,
     resolvent_kernel,
     sinc,
@@ -97,7 +96,7 @@ def test_criterion_4_symmetric_minus_i_spd_invertible():
             a = a + a.T
             r = rng.standard_normal((n, n))
             b = r @ r.T + 1e-6 * np.eye(n)
-            assert min_singular_value(a - 1j * b) > 0.0
+            assert np.linalg.svd(a - 1j * b, compute_uv=False)[-1] > 0.0
 
 
 def test_criterion_5_zero_classification():

@@ -94,8 +94,9 @@ def _z(pair: list[str]) -> complex:
 def report_changes(old: dict, new: dict, tol: float) -> list[str]:
     """What changed between two records of one search: the searched box, the
     total count, the root count, the order of the roots, the multiplicities
-    and kinds, and the largest |dz| against tol.  Each old root is paired
-    with the nearest new one."""
+    and kinds, the largest |dz| against tol, and the largest relative change
+    of each root's |det| and sigma_min.  Each old root is paired with the
+    nearest new one."""
     lines = []
     for key in ("searched", "total_count"):
         if old[key] != new[key]:
@@ -117,7 +118,17 @@ def report_changes(old: dict, new: dict, tol: float) -> list[str]:
                 lines.append(f"root {i} {key}: {a[i][key]} -> {b[j][key]}")
     dz = max((abs(za[i] - zb[j]) for i, j in enumerate(pair)), default=0.0)
     lines.append(f"max |dz| = {dz:.3g} ({dz / tol:.3g} tol) over {len(b)} roots")
+    for key in ("abs_det", "sigma_min"):
+        rel = max(
+            (_relative(float.fromhex(a[i][key]), float.fromhex(b[j][key])) for i, j in enumerate(pair)),
+            default=0.0,
+        )
+        lines.append(f"max relative |d {key}| = {rel:.3g}")
     return lines
+
+
+def _relative(old: float, new: float) -> float:
+    return abs(new - old) / abs(old) if old else abs(new - old)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ def _configs() -> dict:
         # as in test_certificate_large_n_gram_precision_exhaustion: the
         # smallest grid points take the per-matrix Cholesky fallback
         "n40.json": seeded(5150, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
-        # at z = 0.1 linalg.cholesky accepts a Gram matrix that LAPACK's
-        # dpotrf rejects
+        # its Gram matrix at z = 0.1 sits at the precision edge of LAPACK's
+        # dpotrf, which rejects it; the chunk of that point fails, so every
+        # point gets its own factorization
         "n40b.json": seeded(5163, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
     }
 
@@ -118,6 +119,8 @@ def _search_record(text: bytes) -> dict:
             {
                 "z": [r["z"]["re"].hex(), r["z"]["im"].hex()],
                 "multiplicity": r["multiplicity"],
+                "abs_det": r["abs_det"].hex(),
+                "sigma_min": r["sigma_min"].hex(),
                 "kind": r["kind"],
             }
             for r in doc["roots"]
@@ -141,6 +144,32 @@ def spectrum_changes(old: bytes, new: bytes) -> list[str]:
     return lines
 
 
+def resolvent_changes(old: bytes, new: bytes) -> list[str]:
+    """What changed between two outputs of a `resolvent` job: |dvalue| and
+    the Helmholtz residual, when it was checked."""
+    a, b = json.loads(old), json.loads(new)
+    va, vb = (complex(d["value"]["re"], d["value"]["im"]) for d in (a, b))
+    lines = [f"|dvalue| = {abs(va - vb):.3g} on |value| = {abs(va):.3g}"]
+    ra, rb = a.get("helmholtz_residual"), b.get("helmholtz_residual")
+    if ra != rb:
+        lines.append(f"helmholtz_residual: {ra!r} -> {rb!r}")
+    return lines
+
+
+def certify_changes(old: bytes, new: bytes) -> list[str]:
+    """What changed between two outputs of a `certify` job: the grid points
+    whose Cholesky verdict flipped, and the verdict."""
+    a, b = json.loads(old), json.loads(new)
+    lines = [
+        f"cholesky_ok at z = {z!r}: {p} -> {q}"
+        for z, p, q in zip(b["z_grid"], a["cholesky_ok"], b["cholesky_ok"])
+        if p != q
+    ]
+    if a["verdict"] != b["verdict"]:
+        lines.append(f"verdict: {a['verdict']} -> {b['verdict']}")
+    return lines or ["changed"]
+
+
 def test_spectrum_changes_report():
     old = (GOLDEN / "n5-spectrum.json").read_bytes()
     doc = json.loads(old)
@@ -153,6 +182,9 @@ def test_spectrum_changes_report():
     ]
     del doc["eigenvalues"][0]
     assert spectrum_changes(old, json.dumps(doc).encode()) == ["record count: 2 -> 1"]
+
+
+REPORTS = {"spectrum": spectrum_changes, "resolvent": resolvent_changes, "certify": certify_changes}
 
 
 def _generate() -> None:
@@ -174,8 +206,8 @@ def _generate() -> None:
             tol = float(json.loads(text)["manifest"]["parameters"]["tol"])
             for line in report_changes(_search_record(old), _search_record(text), tol):
                 print(f"{name}: {line}")
-        elif argv[0] == "spectrum":
-            for line in spectrum_changes(old, text):
+        elif argv[0] in REPORTS:
+            for line in REPORTS[argv[0]](old, text):
                 print(f"{name}: {line}")
         else:
             print(f"{name}: changed")

@@ -1,18 +1,20 @@
+"""Oracle checks of the LAPACK conventions the library relies on, through
+numpy, its only binding: det by LU (root records, scan-det and the boundary
+det sweeps), solves (the edge quadrature), the symmetric eigensolver and the
+smallest singular value.  Also the outcome-typed test Cholesky, the
+resolvent's singular-Gamma rejection and null_space."""
+
 import numpy as np
 import pytest
 
-from deltaspec import (
-    NotPositiveDefinite,
-    SingularMatrixError,
-    cholesky,
-    lu_det,
-    min_singular_value,
-    null_space,
-    sinc_gram,
-    solve,
-    sym_eigen,
-)
+from cholesky import NotPositiveDefinite, cholesky
 from conftest import random_config
+from deltaspec import PointConfig, SingularMatrixError, null_space, resolvent_kernel, sinc_gram
+from deltaspec.model import FOUR_PI
+
+
+def min_singular_value(m) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def cofactor_det(m):
@@ -62,12 +64,12 @@ def charpoly_smallest_root(h, hi, scan=400):
 
 
 def test_lu_det_identity():
-    det = lu_det(np.eye(4))
+    det = np.linalg.det(np.eye(4))
     assert det == pytest.approx(1.0)
 
 
 def test_lu_det_diagonal_complex():
-    det = lu_det(np.diag([2.0, 3.0j]))
+    det = np.linalg.det(np.diag([2.0, 3.0j]))
     assert det == pytest.approx(6.0j)
 
 
@@ -75,7 +77,7 @@ def test_lu_det_against_cofactor_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        det = lu_det(m)
+        det = np.linalg.det(m)
         oracle = cofactor_det(m)
         assert abs(det - oracle) <= 1e-10 * abs(oracle)
 
@@ -85,14 +87,15 @@ def test_lu_reconstruction_and_sign():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        det = lu_det(m)
-        # a wrong permutation parity flips the sign and fails this check
-        assert abs(det - np.linalg.det(m)) <= 1e-10 * max(1.0, abs(det))
+        det = np.linalg.det(m)
+        # a wrong permutation parity flips the sign and fails this check;
+        # the eigenvalue product is an independent path to the determinant
+        assert abs(det - np.prod(np.linalg.eigvals(m))) <= 1e-10 * max(1.0, abs(det))
 
 
 def test_lu_det_singular_is_zero_not_error():
     m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    det = lu_det(m)
+    det = np.linalg.det(m)
     assert abs(det) < 1e-14
 
 
@@ -101,13 +104,13 @@ def test_lu_det_singular_is_zero_not_error():
 
 def test_solve_identity():
     b = np.array([1.0, -2.0, 3.0], dtype=complex)
-    np.testing.assert_allclose(solve(np.eye(3), b), b)
+    np.testing.assert_allclose(np.linalg.solve(np.eye(3), b), b)
 
 
 def test_solve_one_by_one_gamma_entry():
     alpha, z = 0.7, 1.3 + 0.4j
     entry = alpha - 1j * z / (4 * np.pi)
-    x = solve(np.array([[entry]]), np.array([1.0]))
+    x = np.linalg.solve(np.array([[entry]]), np.array([1.0]))
     assert x[0] == pytest.approx(1.0 / entry)
 
 
@@ -116,41 +119,50 @@ def test_solve_roundtrip_residual():
     for _ in range(20):
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x = solve(m, b)
+        x = np.linalg.solve(m, b)
         assert np.linalg.norm(m @ x - b) <= 1e-10 * np.abs(m).max() * np.linalg.norm(x)
 
 
 def test_solve_matrix_rhs():
     rng = np.random.default_rng(24)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    inv = solve(m, np.eye(4))
+    inv = np.linalg.solve(m, np.eye(4))
     np.testing.assert_allclose(m @ inv, np.eye(4), atol=1e-12)
 
 
 def test_solve_rejects_singular():
+    # Gamma(0) = -[[1, 1], [1, 1]] / 4pi and Gamma(0) = [[0]]: the resolvent
+    # raises the library's error instead of solving with a singular Gamma
+    x, xp = [0.3, 2.0, 0.0], [-1.0, 0.5, 1.5]
+    rank_one = PointConfig(alpha=[-1.0 / FOUR_PI] * 2, points=[[0, 0, 0], [1, 0, 0]])
     with pytest.raises(SingularMatrixError):
-        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+        resolvent_kernel(rank_one, 0.0, x, xp)
     with pytest.raises(SingularMatrixError):
-        solve(np.zeros((2, 2)), np.ones(2))
+        resolvent_kernel(PointConfig(alpha=[0.0], points=[[0, 0, 0]]), 0.0, x, xp)
 
 
 # ---------------------------------------------------------------- sym_eigen
 
 
 def test_sym_eigen_diagonal():
-    eig = sym_eigen(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(eig.values, [1.0, 3.0])
+    values, _ = np.linalg.eigh(np.diag([3.0, 1.0]))
+    np.testing.assert_allclose(values, [1.0, 3.0])
 
 
 def test_sym_eigen_closed_form_2x2():
     a, b = 1.7, -0.6
-    eig = sym_eigen(np.array([[a, b], [b, a]]))
-    np.testing.assert_allclose(eig.values, sorted([a - abs(b), a + abs(b)]))
+    values, _ = np.linalg.eigh(np.array([[a, b], [b, a]]))
+    np.testing.assert_allclose(values, sorted([a - abs(b), a + abs(b)]))
 
 
 def test_sym_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # eigh reads one triangle only and would see the zero matrix here, with a
+    # two-dimensional kernel; null_space keeps asymmetric input off that path
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(np.linalg.eigh(m)[0], [0.0, 0.0])
+    vecs = null_space(m, 1e-10)
+    assert len(vecs) == 1
+    np.testing.assert_allclose(m @ vecs[0], 0.0, atol=1e-15)
 
 
 def test_sym_eigen_trace_and_orthogonality():
@@ -158,11 +170,11 @@ def test_sym_eigen_trace_and_orthogonality():
     for _ in range(50):
         a = rng.standard_normal((6, 6))
         m = a + a.T
-        eig = sym_eigen(m)
-        assert eig.values.sum() == pytest.approx(np.trace(m), rel=1e-10, abs=1e-10)
-        np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(6), atol=1e-10)
+        values, vectors = np.linalg.eigh(m)
+        assert values.sum() == pytest.approx(np.trace(m), rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(6), atol=1e-10)
         for k in range(6):
-            res = m @ eig.vectors[:, k] - eig.values[k] * eig.vectors[:, k]
+            res = m @ vectors[:, k] - values[k] * vectors[:, k]
             assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.abs(m).max())
 
 
@@ -170,9 +182,9 @@ def test_sym_eigen_against_charpoly_oracle():
     rng = np.random.default_rng(26)
     a = rng.standard_normal((5, 5))
     m = a @ a.T  # PSD so the smallest eigenvalue lives in [0, trace]
-    eig = sym_eigen(m)
+    values, _ = np.linalg.eigh(m)
     oracle = charpoly_smallest_root(m.astype(complex), float(np.trace(m)))
-    assert eig.values[0] == pytest.approx(oracle, abs=1e-9 * max(1.0, np.trace(m)))
+    assert values[0] == pytest.approx(oracle, abs=1e-9 * max(1.0, np.trace(m)))
 
 
 # ---------------------------------------------------------------- cholesky
@@ -203,7 +215,7 @@ def test_cholesky_agrees_with_eigenvalue_sign():
         n = int(rng.integers(1, 7))
         a = rng.standard_normal((n, n))
         m = a + a.T + rng.uniform(-2, 2) * np.eye(n)
-        vals = sym_eigen(m).values
+        vals = np.linalg.eigvalsh(m)
         band = 1e-10 * np.abs(m).max()
         if np.abs(vals).min() <= band:
             continue  # borderline: excluded from the equivalence
@@ -245,7 +257,7 @@ def test_min_singular_value_via_real_embedding():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = np.conj(m.T) @ m
     emb = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    vals = np.sort(sym_eigen(emb).values)
+    vals = np.linalg.eigvalsh(emb)
     paired = vals.reshape(-1, 2)
     np.testing.assert_allclose(paired[:, 0], paired[:, 1], rtol=1e-8)
     assert min_singular_value(m) == pytest.approx(np.sqrt(max(vals[0], 0.0)), abs=1e-10)

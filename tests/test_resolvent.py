@@ -13,7 +13,7 @@ from deltaspec import (
     helmholtz_residual,
     resolvent_kernel,
 )
-from deltaspec.model import FOUR_PI
+from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resolvent import radial_boundary_residual
 import deltaspec.resolvent as resolvent
 
@@ -78,6 +78,19 @@ def test_kernel_rejects_pole_and_coincidence():
         resolvent_kernel(cfg, 1j, [1, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         resolvent_kernel(cfg, 1.0 - 0.5j, [1, 0, 0], [0, 1, 0])  # lower half-plane
+
+
+def test_kernel_rejects_scaled_near_pole():
+    # Gamma(z) = diag(~1.2e-12, 150): sigma_min is above 1e-12 but not above
+    # SIGMA_FLOOR * max|Gamma|, and the smallest LU pivot is below
+    # 1e-14 * max|Gamma|; the floor scales with Gamma, so z counts as a pole
+    cfg = PointConfig(alpha=[-100.0, 50.0], points=[ORIGIN, [1.0, 0.0, 0.0]])
+    z = 1j * (400.0 * np.pi + 1.5e-11)
+    g = gamma_stack(cfg, z)
+    sigma_min = np.linalg.svd(g, compute_uv=False)[-1]
+    assert 1e-12 < sigma_min <= resolvent.SIGMA_FLOOR * np.abs(g).max()
+    with pytest.raises(SingularMatrixError):
+        resolvent_kernel(cfg, z, [0.5, 1.0, 0.0], [0.0, -1.0, 0.5])
 
 
 def test_kernel_holomorphic_in_z():

@@ -11,7 +11,6 @@ from deltaspec import (
     certify_real_axis,
     count_zeros_in_box,
     find_resonances,
-    min_singular_value,
     sinc_gram,
 )
 from deltaspec.model import FOUR_PI, gamma_stack
@@ -161,10 +160,18 @@ def test_double_zero_at_origin_counted_with_order():
 
 
 def test_find_residuals_are_recorded():
-    found = find_resonances(one_center(2.0), Box(-1.0, 1.0, -40.0, -1.0))
-    for root in found.roots:
-        g = gamma_stack(one_center(2.0), root.z)
-        assert root.sigma_min == pytest.approx(min_singular_value(g))
+    three = random_config(np.random.default_rng(102), 3, radius=1.2, min_dist=0.5, alpha_scale=2.0)
+    for cfg, box in (
+        (one_center(2.0), Box(-1.0, 1.0, -40.0, -1.0)),
+        (three, Box(-3.0, 3.0, -3.0, -0.2)),
+    ):
+        found = find_resonances(cfg, box)
+        assert found.roots
+        for root in found.roots:
+            g = gamma_stack(cfg, root.z)
+            assert root.sigma_min == pytest.approx(np.linalg.svd(g, compute_uv=False)[-1])
+            # the same |det| as the boundary sweeps and scan-det
+            assert root.abs_det == abs(np.linalg.det(g))
 
 
 # ---------------------------------------------------------------- edge quadrature
@@ -546,6 +553,26 @@ def test_certificate_logs_per_matrix_cholesky_fallback(caplog):
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
         certify_real_axis(two_center_config(0.5, 1.3), grid_step=0.07)
     assert caplog.messages == []
+
+
+def test_certificate_cholesky_verdict_ignores_chunk_mates():
+    # the N=40 config of the golden corpus whose Gram matrix at z = 0.101 sits
+    # at the precision edge of LAPACK's Cholesky: alone on its grid, or in a
+    # chunk whose batched factorization fails, the point gets the same verdict,
+    # and it is LAPACK's verdict on that matrix
+    rng = np.random.default_rng(5163)
+    cfg = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
+    alone = certify_real_axis(cfg, grid_step=0.101, z_max=0.101)
+    chunk = certify_real_axis(cfg, grid_step=0.0005, z_max=0.2)
+    assert alone.z_grid.tolist() == [0.101]
+    [k] = np.flatnonzero(np.abs(chunk.z_grid - 0.101) < 1e-12)
+    assert not chunk.cholesky_ok.all()
+    try:
+        np.linalg.cholesky(sinc_gram(cfg, 0.101))
+        lapack = True
+    except np.linalg.LinAlgError:
+        lapack = False
+    assert alone.cholesky_ok[0] == chunk.cholesky_ok[k] == lapack
 
 
 def test_certificate_grid_spans_interval():

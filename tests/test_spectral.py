@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from cholesky import NotPositiveDefinite, cholesky
 from conftest import random_config, two_center_config
 from deltaspec import (
     PointConfig,
@@ -13,7 +14,6 @@ from deltaspec import (
     laurent_at_zero,
     negative_eigenvalues,
 )
-from deltaspec.linalg import NotPositiveDefinite, cholesky, sym_eigen
 from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
 from deltaspec.spectral import MIXED, REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
 import deltaspec.spectral as spectral
@@ -170,9 +170,9 @@ def per_curve_reference(cfg, tol=1e-10):
         while j < len(crossings) and crossings[j] - crossings[i] <= tol * (1.0 + crossings[j]):
             j += 1
         lam_star = float(np.mean(crossings[i:j]))
-        eig = sym_eigen(gamma_imag_axis(cfg, lam_star))
-        order = np.argsort(np.abs(eig.values))
-        coeffs = [eig.vectors[:, int(c)].copy() for c in order[: j - i]]
+        values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
+        order = np.argsort(np.abs(values))
+        coeffs = [vectors[:, int(c)].copy() for c in order[: j - i]]
         records.append((lam_star, -lam_star * lam_star, j - i, coeffs))
         i = j
     return records
