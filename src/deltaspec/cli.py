@@ -110,8 +110,35 @@ def _parse_tuple(text: str, parts: int, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects numbers, got {text!r}")
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for string keys.  With an
+    indent, json encodes in pure Python; here each list or dict of numbers
+    alone goes through the C encoder in one call, and its ", " separators
+    become indented line breaks (a key holding ", " keeps its dict on the
+    slow path)."""
+    if isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+        plain = all(", " not in k for k in obj)
+    elif isinstance(obj, (list, tuple)):
+        brackets, values, plain = "[]", obj, True
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = indent + "  "
+    if plain and all(isinstance(v, (int, float)) for v in values):
+        body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+    elif brackets == "{}":
+        body = (",\n" + inner).join(
+            f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()
+        )
+    else:
+        body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
+    return brackets[0] + "\n" + inner + body + "\n" + indent + brackets[1]
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -260,9 +287,15 @@ def _cmd_scan_det(args) -> dict:
     count = int(np.floor((args.stop - args.start) / args.step + 1e-12)) + 1
     ts = args.start + args.step * np.arange(count)
     zs = ts.astype(complex) if args.axis == "real" else 1j * ts
-    gs = model.gamma_stack(cfg, zs)
-    dets = np.linalg.det(gs)
-    sigmas = np.linalg.svd(gs, compute_uv=False)[:, -1]
+    dets = np.empty(count, dtype=complex)
+    sigmas = np.empty(count)
+
+    def scan(sl):
+        gs = model.gamma_stack(cfg, zs[sl])
+        dets[sl] = np.linalg.det(gs)
+        sigmas[sl] = np.linalg.svd(gs, compute_uv=False)[:, -1]
+
+    resonance._map_chunks(scan, count)
     rows = [
         {
             "z": float(t),

@@ -210,7 +210,10 @@ def sinc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < SINC_TAYLOR_CUT
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0 + x ** 4 / 120.0, np.sin(safe) / safe)
+    out = np.sin(safe, out=np.empty_like(safe))  # an array even for a scalar x
+    out /= safe
+    xs = x[small]  # the polynomial only where it is used
+    out[small] = 1.0 - xs * xs / 6.0 + xs ** 4 / 120.0
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltaspec.cli import dispatch, parse_config
-from deltaspec.model import ConfigError, FOUR_PI
+from deltaspec import resonance
+from deltaspec.cli import _dumps, dispatch, parse_config
+from deltaspec.model import ConfigError, FOUR_PI, gamma_stack
 
 
 def write_config(tmp_path, alpha, points, name="cfg.json"):
@@ -218,6 +221,64 @@ def test_scan_det_imag_axis(tmp_path, capsys):
     doc = json.loads(out)
     dets = [row["abs_det"] for row in doc["rows"]]
     assert min(dets) < 0.01  # the eigenvalue pole at lam = 4 pi is inside
+
+
+def test_scan_det_chunks_match_one_batch(tmp_path, capsys, monkeypatch):
+    # a scan of many chunks on the thread pool gives the rows of one batch
+    path = write_config(tmp_path, [-1.0, 0.5, 2.0], [[0, 0, 0], [1, 0, 0], [0, 0.7, 0.3]])
+    argv = ["scan-det", path, "--axis", "real", "--from", "0", "--to", "30", "--step", "0.01"]
+    code, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 3001 > resonance._CHUNK_POINTS
+    monkeypatch.setattr(resonance, "_WORKERS", 1)
+    monkeypatch.setattr(resonance, "_CHUNK_POINTS", 10**9)
+    _, single, _ = run(capsys, *argv)
+    assert json.loads(single)["rows"] == rows
+    zs = np.array([r["z"] for r in rows])
+    gs = gamma_stack(parse_config(path), zs)
+    assert [r["abs_det"] for r in rows] == [float(abs(d)) for d in np.linalg.det(gs)]
+
+
+# ---------------------------------------------------------------- emitter
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=True).map(np.float64),
+)
+_leaves = st.one_of(
+    _numbers,
+    st.none(),
+    st.text(),
+    st.sampled_from(["a, b", ", ", "Grüße, Ω", "\u2028", '"", \\']),
+)
+_keys = st.one_of(st.text(max_size=8), st.sampled_from(["a, b", ", ", "Ω, "]))
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(_numbers, max_size=6),
+        st.dictionaries(_keys, inner, max_size=5),
+        st.dictionaries(_keys, _numbers, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dumps_matches_json_indent_2(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_fast_path_is_for_numbers_only():
+    doc = {"k": [1.5, True, None], "s": ["x, y", 2], "n": [[], {}, [-0.0, 7]], "e": {},
+           "d": {"x, y": 1.0, "z": 2}, "f": {"x": 1.0, "y": float("nan")}, "t": (1, 2.5)}
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+    assert _dumps([]) == "[]" and _dumps({}) == "{}"
 
 
 # ---------------------------------------------------------------- plumbing

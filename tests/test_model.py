@@ -223,6 +223,30 @@ def test_sinc_continuous_across_taylor_cut():
     assert abs(sinc(below) - sinc(above)) < 1e-15
 
 
+def _where_sinc(x):
+    # the formula before the Taylor polynomial was restricted to small |x|
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    out = np.where(small, 1.0 - x * x / 6.0 + x ** 4 / 120.0, np.sin(safe) / safe)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_sinc_bit_identical_to_where_formula():
+    cut = 1e-4
+    edge = [0.0, -0.0, cut, -cut, np.nextafter(cut, 0), -np.nextafter(cut, 0),
+            np.nextafter(cut, 1), -np.nextafter(cut, 1), 3e-5, -7e-5, 2e-4, -5e-3]
+    rng = np.random.default_rng(213)
+    arrays = [np.array(edge), rng.standard_normal((7, 5, 5)) * 10.0,
+              rng.standard_normal(1000) * 1e-4, np.zeros((3, 0))]
+    for x in arrays:
+        got, want = sinc(x), _where_sinc(x)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for x in [*edge, 1, 2.5, -1e-300, np.array(0.0), np.array(-3.0)]:
+        got = sinc(x)
+        assert type(got) is float and got == _where_sinc(x)
+
+
 def test_sinc_gram_single_center():
     cfg = PointConfig(alpha=[1.0], points=[ORIGIN])
     np.testing.assert_array_equal(sinc_gram(cfg, 1.0), [[1.0]])

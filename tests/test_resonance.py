@@ -1,5 +1,8 @@
+import concurrent.futures
 import logging
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -535,19 +538,23 @@ def test_certificate_large_n_gram_precision_exhaustion():
         assert not cert.verdict
 
 
-def test_certificate_logs_per_matrix_cholesky_fallback(caplog):
-    # the N=40 config above: the batched Cholesky of the first chunk fails,
-    # every point of it takes the per-matrix Cholesky, and the chunk's counts
-    # are logged; the certificate itself is unchanged by the logging
+def test_certificate_logs_per_matrix_cholesky_fallback(monkeypatch, caplog):
+    # the N=40 config above on two threads: the batched Cholesky of the first
+    # of its two 10-point chunks fails, every point of that chunk takes the
+    # per-matrix Cholesky, and one line after the pool joins gives the counts;
+    # the second chunk passes whole, and the certificate is unchanged by the
+    # logging
+    monkeypatch.setattr(resonance, "_WORKERS", 2)
     rng = np.random.default_rng(5150)
     cfg = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
         cert = certify_real_axis(cfg, grid_step=0.05, z_max=1.0)
     passed = int(cert.cholesky_ok.sum())
     assert 0 < passed < cert.z_grid.size == 20
+    assert cert.cholesky_ok[10:].all()
     assert caplog.messages == [
-        "certify grid points 0-19: batched Cholesky failed, so 20 points took the "
-        f"per-matrix Cholesky and {passed} of them passed"
+        "certify: batched Cholesky failed on 1 of 2 chunks; 10 points took the "
+        f"per-matrix Cholesky and {passed - 10} of them passed"
     ]
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
@@ -573,6 +580,76 @@ def test_certificate_cholesky_verdict_ignores_chunk_mates():
     except np.linalg.LinAlgError:
         lapack = False
     assert alone.cholesky_ok[0] == chunk.cholesky_ok[k] == lapack
+
+
+def _single_chunk(monkeypatch, cfg, **grid):
+    with monkeypatch.context() as m:
+        m.setattr(resonance, "_WORKERS", 1)
+        m.setattr(resonance, "_CHUNK_POINTS", 10**9)
+        return certify_real_axis(cfg, **grid)
+
+
+@pytest.mark.parametrize("workers, chunk", [(None, None), (8, 37)])
+def test_certificate_does_not_depend_on_chunking(monkeypatch, workers, chunk):
+    # one chunk on one thread against the default pool, and against a pool of
+    # more threads than cores switching often, whose lost writes would show:
+    # the precision-edge N=40 config, where batched Cholesky fails and single
+    # points decide, and an N=8 default grid of many chunks
+    rng = np.random.default_rng(5163)
+    n40b = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
+    rng = np.random.default_rng(8)
+    n8 = random_config(rng, 8, radius=2.0, min_dist=0.3, alpha_scale=5.0)
+    cases = [(n40b, dict(grid_step=0.0005, z_max=0.2)), (n8, {})]
+    if workers is not None:
+        monkeypatch.setattr(resonance, "_WORKERS", workers)
+        monkeypatch.setattr(resonance, "_CHUNK_POINTS", chunk)
+    for cfg, grid in cases:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5 if workers else interval)
+        try:
+            pooled = certify_real_axis(cfg, **grid)
+        finally:
+            sys.setswitchinterval(interval)
+        single = _single_chunk(monkeypatch, cfg, **grid)
+        for name in ("z_grid", "sigma_min", "cholesky_ok"):
+            assert np.array_equal(getattr(pooled, name), getattr(single, name)), name
+        assert pooled.verdict == single.verdict
+    assert pooled.z_grid.size > 4 * resonance._CHUNK_POINTS  # N=8: over four chunks
+    assert pooled.verdict
+
+
+def test_certificate_pool_joins_its_threads():
+    rng = np.random.default_rng(8)
+    cfg = random_config(rng, 8, radius=5.0, min_dist=0.4, alpha_scale=5.0)
+    before = threading.active_count()
+    cert = certify_real_axis(cfg, grid_step=0.002)
+    assert cert.z_grid.size > 2 * resonance._CHUNK_POINTS
+    assert threading.active_count() == before
+
+
+def test_certificate_chunk_errors_propagate(monkeypatch):
+    calls = []
+
+    def broken(cfg, zs):
+        calls.append(zs.size)
+        raise FloatingPointError("chunk failed")
+
+    monkeypatch.setattr(resonance, "_WORKERS", 2)
+    monkeypatch.setattr(resonance.model, "sinc_gram", broken)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        certify_real_axis(two_center_config(0.5, 1.3), grid_step=1e-4)
+    assert calls and threading.active_count() == before
+
+
+def test_certificate_rejects_bad_step_before_any_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    for step in (0.0, -0.1):
+        with pytest.raises(ValueError, match="grid_step > 0"):
+            certify_real_axis(two_center_config(0.5, 1.3), grid_step=step)
 
 
 def test_certificate_grid_spans_interval():
