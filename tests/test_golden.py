@@ -19,7 +19,8 @@ from deltaspec import Box, PointConfig, find_resonances
 GOLDEN = Path(__file__).with_name("golden_resonances.json")
 
 # (seed, number of centers, search box); configs as in acceptance criterion 7.
-# The first four boxes are symmetric about Re z = 0, the rest are not.
+# The first four boxes are symmetric about Re z = 0, the next four are not;
+# the last is an N=8 config whose box holds 19 zeros.
 SEARCH = (-5.0, 5.0, -5.0, -0.2)
 CORPUS = [
     (101, 2, SEARCH),
@@ -30,6 +31,7 @@ CORPUS = [
     (102, 3, (-5.0, 3.0, -5.0, -0.2)),
     (103, 2, (0.25, 5.0, -5.0, -0.2)),
     (104, 3, (-3.0, 4.5, -4.0, -0.3)),
+    (1, 8, SEARCH),
 ]
 
 
