@@ -280,6 +280,8 @@ def _cmd_resolvent(args) -> dict:
 
 def _cmd_scan_det(args) -> dict:
     cfg = parse_config(args.config)
+    if not np.isfinite([args.start, args.stop, args.step]).all():
+        raise ConfigError("--from, --to and --step must be finite")
     if args.step <= 0.0:
         raise ConfigError("--step must be positive")
     if args.stop < args.start:

@@ -29,8 +29,8 @@ def null_space(m, tol: float) -> list[np.ndarray]:
     vectors; everything else goes through the SVD.  Returns [] when the
     matrix is safely invertible at the given tolerance.
     """
-    if tol <= 0.0:
-        raise ValueError("null_space requires tol > 0")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("null_space requires a finite tol > 0")
     m = np.asarray(m)
     if not np.iscomplexobj(m):
         scale = float(np.abs(m).max()) if m.size else 0.0

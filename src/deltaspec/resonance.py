@@ -2,24 +2,20 @@
 
 Zeros of det Gamma are counted by the argument principle: the winding
 integral of tr(Gamma^-1 Gamma') over a rectangle boundary is the enclosed
-zero count.  Counting drives a quadrisection search whose leaves are
-polished by Newton steps on log det.  The trace form is used throughout
-because det Gamma is an exponential polynomial that overflows at large
-|Im z| while the logarithmic derivative stays tame.  The adaptive edge
-quadrature refines the edges of all boxes counted together breadth-first,
-one batched solve per refinement level; it builds the same panel tree and
-gives the same results, bit for bit, as the recursive rule applied one edge
-at a time.  Within one search each Gauss panel is evaluated once: a child's
-outer edge reuses the panels of its parent's edge, and the inner edge that
-two siblings share in opposite orientation reuses them reversed.  Each
-boundary segment of a batch of boxes is sampled for det Gamma once.
+zero count.  The trace form is used throughout because det Gamma is an
+exponential polynomial that overflows at large |Im z| while the logarithmic
+derivative stays tame.  The adaptive edge quadrature refines the edges of
+all boxes counted together breadth-first, one batched solve per refinement
+level; it builds the same panel tree and gives the same results, bit for
+bit, as the recursive rule applied one edge at a time.  Within one search
+each Gauss panel is evaluated once: a child's outer edge reuses the panels
+of its parent's edge, and the inner edge that two siblings share in opposite
+orientation reuses them reversed.  Each boundary segment of a batch of boxes
+is sampled for det Gamma once.
 
-Gamma(-conj z) = conj Gamma(z), so the zero set is symmetric about Re z = 0,
-and on the imaginary axis Gamma(it) is real symmetric.  A search box
-symmetric about Re z = 0 is counted whole, then only its right half
-Re z >= delta is searched; its roots are mirrored to -conj z, and the zeros
-left over are found on the axis as the changes of inertia of Gamma(it).
-When these do not account for the whole count, the full box is searched.
+Weighted by powers of z, the node values give the power sums of the zeros
+in a counted box; a Hankel eigenproblem turns them into the zeros (Delves &
+Lyness 1967), polished by Newton steps.  Unresolved boxes are quadrisected.
 
 The certificate scans the positive real axis up to the analytic
 large-momentum bound, recording the smallest singular value of Gamma(z) and
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, spectral
+from . import model
 from .model import PointConfig
 
 # Boundary admissibility: smallest |det| allowed on sampled boundary points.
@@ -48,12 +44,11 @@ _EDGE_SAMPLES = 64
 # clearance before it converges).
 _MAX_EDGE_DEPTH = 26
 _EDGE_TOL = 2.0 * np.pi * 2.5e-4
-_POLISH_DIAMETER = 1e-3
 _NEWTON_MAX_STEPS = 50
-# Mirror path: the right half starts at Re z = _MIRROR_GAP * re_max, and the
-# imaginary axis is scanned for inertia changes at _AXIS_SAMPLES points.
-_MIRROR_GAP = 1e-3
-_AXIS_SAMPLES = 256
+# Moment step: Hankel singular values (relative) below _RANK_GAP[0] are noise,
+# above _RANK_GAP[1] distinct zeros; multiplicities within _MULT_TOL of integers.
+_RANK_GAP = (1e-11, 1e-7)
+_MULT_TOL = 1e-3
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # Certificate: z_star = row-sum bound + margin; passing sigma_min > threshold.
 CERTIFY_MARGIN = 1.0
@@ -157,10 +152,8 @@ class Box:
 
 @dataclass(frozen=True)
 class RootRecord:
-    """A located zero of det Gamma; multiplicity is the order of the zero: the
-    winding count of the enclosing leaf box, or for a zero found on the
-    imaginary axis of a symmetric box, the number of eigenvalues of Gamma(it)
-    that change sign there."""
+    """A located zero of det Gamma; multiplicity is the order of the zero,
+    fitted to the power sums of the box it was found in."""
 
     z: complex
     multiplicity: int
@@ -209,14 +202,16 @@ def _node_values(cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SearchMemo:
     """Work shared by the boxes of one search: node values of every Gauss
     panel, keyed on its exact endpoints (a, b), with (b, a) holding the same
-    values reversed; and counts of the panels evaluated and reused and of the
-    det samples taken."""
+    values reversed; the accepted panels of each contour; and work counts."""
 
     def __init__(self):
         self.panels: dict[tuple[complex, complex], np.ndarray] = {}
+        self.accepted: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.evaluated = 0
         self.reused = 0
         self.det_samples = 0
+        self.resolved = 0
+        self.split = 0
 
     def node_values(self, cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         panels = self.panels
@@ -274,7 +269,7 @@ def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | 
     are summed back up the panel tree in depth-first order, so each integral
     is bit for bit the one the recursive rule gives.  A singular node or a
     panel still open at the depth limit fails only its own contour.  The
-    memo supplies every panel it has already seen.
+    memo supplies every panel it has seen and keeps each contour's accepted halves.
     """
     owner = np.array([c for c, edges in enumerate(contours) for _ in edges], dtype=int)
     a = np.array([za for edges in contours for za, _ in edges], dtype=complex)
@@ -283,6 +278,7 @@ def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | 
     failed = np.zeros(len(contours), dtype=bool)
     whole = None
     levels = []  # per level: value of each panel, indices of the refined ones
+    accepted = []  # per level: owner, start, midpoint and end of each accepted panel
     for depth in range(_MAX_EDGE_DEPTH + 1):
         mid = 0.5 * (a + b)
         lo, hi = np.concatenate([a, mid]), np.concatenate([mid, b])
@@ -303,6 +299,8 @@ def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | 
             failed[owner[open_]] = True
         idx = np.flatnonzero(open_ & ~failed[owner])
         levels.append((parts, idx))
+        done = np.isin(np.arange(a.size), idx, invert=True)
+        accepted.append((owner[done], a[done], mid[done], b[done]))
         if idx.size == 0:
             break
         a, b = _pairs(a[idx], mid[idx]), _pairs(mid[idx], b[idx])
@@ -313,10 +311,14 @@ def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | 
     for parts, idx in reversed(levels[:-1]):
         parts[idx] = vals[0::2] + vals[1::2]
         vals = parts
+    own, a, mid, b = (np.concatenate(parts) for parts in zip(*accepted))
+    own, lo, hi = np.tile(own, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
     out, start = [], 0
     for c, edges in enumerate(contours):
         stop = start + len(edges)
         out.append(None if failed[c] else vals[start:stop])
+        if memo is not None and not failed[c]:
+            memo.accepted[tuple(edges)] = (lo[own == c], hi[own == c])
         start = stop
     return out
 
@@ -432,10 +434,9 @@ def _split_counted(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     raise SubdivisionError("no admissible quadrisection found")
 
 
-def _newton_polish(cfg: PointConfig, box: Box, mult: int, tol: float):
-    """Newton on log det from the box center, with the multiplicity-scaled
-    step mult/tr(Gamma^-1 Gamma') for quadratic convergence at any order."""
-    z = box.center
+def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box):
+    """Newton on log det from z with the multiplicity-scaled step mult/tr(Gamma^-1
+    Gamma'); None if an iterate leaves the box padded by twice its diameter."""
     for _ in range(_NEWTON_MAX_STEPS):
         try:
             f = complex(_trace_logdet(cfg, np.array([z]))[0])
@@ -454,76 +455,58 @@ def _newton_polish(cfg: PointConfig, box: Box, mult: int, tol: float):
     return None
 
 
+def _moment_roots(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
+    """(roots, None) for a counted box, or (None, reason) when unresolved.
+    The power sums s_p = sum_j w_j^p, p < 2 count, w = (z - center) /
+    (diameter / 2), are winding integrals of w^p tr(Gamma^-1 Gamma') over the
+    panels the count accepted.  The rank of H0 = [s_(i+j)] is the number of
+    distinct zeros, the pencil ([s_(i+j+1)], H0) reduced to it gives them, a
+    Vandermonde fit their multiplicities; Newton polishes each, and the roots
+    must stay in the box and apart."""
+    a, b = memo.accepted[tuple(_edges(box))]
+    vals = np.array([memo.panels[key] for key in zip(a.tolist(), b.tolist())])
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    center, scale = box.center, 0.5 * box.diameter
+    powers = ((nodes.ravel() - center) / scale)[:, None] ** np.arange(2 * count)
+    s = (half[:, None] * _GL_W * vals).ravel() @ powers / (2j * np.pi)
+    ij = np.add.outer(np.arange(count), np.arange(count))
+    u, sigma, vh = np.linalg.svd(s[ij])
+    rank = np.count_nonzero(sigma > _RANK_GAP[1] * sigma[0])
+    if np.count_nonzero(sigma > _RANK_GAP[0] * sigma[0]) != rank:
+        return None, f"rank: no gap, sigma_{rank} / sigma_0 = {sigma[rank] / sigma[0]:.1e}"
+    pencil = (u[:, :rank].conj().T @ s[ij + 1] @ vh[:rank].conj().T) / sigma[:rank, None]
+    w = np.linalg.eigvals(pencil)
+    fit = np.linalg.lstsq(w ** np.arange(2 * count)[:, None], s, rcond=None)[0]
+    mults = np.rint(fit.real).astype(int)
+    if np.any(np.abs(fit - mults) > _MULT_TOL) or np.any(mults < 1) or mults.sum() != count:
+        return None, f"multiplicity: fitted {np.round(fit, 4).tolist()}"
+    roots = []
+    for wj, mult in zip(w.tolist(), mults.tolist()):
+        z = _newton_polish(cfg, center + scale * wj, mult, tol, box)
+        if z is None or not box.contains(z) or any(abs(z - r) <= tol for r, _ in roots):
+            return None, f"polish: the estimate {center + scale * wj} of multiplicity {mult}"
+        roots.append((z, mult))
+    return roots, None
+
+
 def _locate(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
+    """Zeros of a counted box by its moment step, else by quadrisection down
+    to boxes narrower than max(10 tol, 1e-12), each reported as its center."""
     if count == 0:
         return []
-    if box.diameter < _POLISH_DIAMETER:
-        z = _newton_polish(cfg, box, count, tol)
-        if z is not None:
-            return [(z, count)]
-        if box.diameter < max(10.0 * tol, 1e-12):
-            return [(box.center, count)]
+    roots, reason = _moment_roots(cfg, box, count, tol, memo)
+    if roots is not None:
+        memo.resolved += 1
+        return roots
+    if box.diameter < max(10.0 * tol, 1e-12):
+        return [(box.center, count)]
+    memo.split += 1
+    logger.debug("quadrisecting %s, count %d: %s", box, count, reason)
     found = []
     for child, k in _split_counted(cfg, box, count, memo):
         found.extend(_locate(cfg, child, k, tol, memo))
     return found
-
-
-def _axis_roots(cfg: PointConfig, box: Box, tol: float):
-    """Zeros of det Gamma on the imaginary axis between box.im_min and
-    box.im_max, each with the size of its inertia jump as multiplicity; None
-    when a zero cannot be polished.
-
-    Gamma(it) is real symmetric, so its inertia changes exactly where an
-    eigenvalue changes sign.  The changes seen on a grid of _AXIS_SAMPLES
-    points are bisected by the inertia bisection the bound-state spectrum
-    uses (`spectral._inertia_brackets`), each bracket until it is narrower
-    than _POLISH_DIAMETER, and then polished by Newton steps from the bracket
-    midpoint; a polished zero must stay in its bracket.  On the axis
-    tr(Gamma^-1 Gamma') is purely imaginary, so the iterates keep Re z = 0.
-    A zero where no eigenvalue changes sign (a tangency), or two sign changes
-    that cancel within one grid cell, is not seen here.
-    """
-    ts = np.linspace(box.im_min, box.im_max, _AXIS_SAMPLES)
-    lo, hi, jumps, _, _ = spectral._inertia_brackets(
-        cfg, ts, spectral._inertia(cfg, ts), lambda a, b: b - a < _POLISH_DIAMETER
-    )
-    roots = []
-    for a, b, jump in zip(lo.tolist(), hi.tolist(), jumps.tolist()):
-        half = 0.5 * (b - a)
-        z = _newton_polish(cfg, Box(-half, half, a, b), jump, tol)
-        if z is None or not a <= z.imag <= b:
-            return None
-        roots.append((z, jump))
-    return roots
-
-
-def _mirror_locate(cfg: PointConfig, box: Box, total: int, tol: float, memo: _SearchMemo):
-    """Zeros in a box symmetric about Re z = 0 from its right half, mirrored,
-    and the imaginary axis: (roots, note), or (None, reason) when the full
-    box must be searched instead.
-
-    The total - 2 * right zeros left after the right half must all be found
-    on the axis; a zero in 0 < |Re z| < delta takes two from that share, so
-    it fails the same check as a tangency or a miscount.
-    """
-    delta = _MIRROR_GAP * box.re_max
-    try:
-        right_box = Box(delta, box.re_max, box.im_min, box.im_max)
-        right_box, right = _counted_box(cfg, right_box, memo)
-        found = _locate(cfg, right_box, right, tol, memo)
-    except (BoundaryError, SubdivisionError) as exc:
-        return None, f"right half failed ({exc})"
-    if any(z.real < delta for z, _ in found):
-        return None, "a right-half root polished to Re z < delta"
-    axis = _axis_roots(cfg, box, tol)
-    if axis is None:
-        return None, "an axis root did not polish"
-    on_axis = sum(m for _, m in axis)
-    if on_axis != total - 2 * right:
-        return None, f"{on_axis} axis zeros, expected {total} - 2 * {right}"
-    roots = found + [(-z.conjugate(), m) for z, m in found] + axis
-    return roots, f"mirror path, {right} right-half and {on_axis} axis zeros"
 
 
 def _classify_root(z: complex, tol: float) -> str:
@@ -535,39 +518,22 @@ def _classify_root(z: complex, tol: float) -> str:
 
 
 def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> ResonanceSet:
-    """Locate all zeros of det Gamma inside the box by recursive quadrisection
-    with Newton polishing.
-
-    When the searched box holds zeros and is symmetric about Re z = 0
-    (re_min == -re_max, exactly), only its right half Re z >= 1e-3 * re_max
-    is quadrisected; each root z found there is reported with its exact
-    mirror -conj z, and the remaining zeros are located on the imaginary
-    axis, where Re z = 0.0 exactly and the multiplicity is the number of
-    eigenvalues of Gamma(it) that change sign.  If the right half cannot be searched, or the axis
-    zeros found do not make up the rest of the count (a tangency, or a zero
-    in the gap next to the axis), the whole box is quadrisected instead; the
-    reason is logged at DEBUG.  Both paths give the same roots to rounding.
-
-    Zeros on the positive imaginary axis are the eigenvalue poles and are
-    cross-labeled as such, not as resonances; a zero at the origin is labeled
-    "threshold" and belongs to classify_zero.  The sum of reported
-    multiplicities equals the winding count of the searched box.  One DEBUG
-    line per call names the path taken, the right-half and axis counts of the
-    mirror path, and the work done.
+    """Locate all zeros of det Gamma inside the box: count it, find its zeros
+    from the power sums of its contour and polish them by Newton steps; a box
+    whose zeros these do not resolve is quadrisected (logged at DEBUG with its
+    count and the reason: rank, multiplicity or polish) and its children are
+    searched the same way.  The sum of reported multiplicities equals the
+    winding count of the searched box.  Zeros on the positive imaginary axis
+    are cross-labeled as eigenvalue poles; a zero at the origin is labeled
+    "threshold" and belongs to classify_zero.  One DEBUG line per call gives
+    the boxes resolved and quadrisected and the work done.
     """
-    if tol <= 0.0:
-        raise ValueError("find_resonances requires tol > 0")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("find_resonances requires a finite tol > 0")
     memo = _SearchMemo()
     searched, total = _counted_box(cfg, box, memo)
-    located = None
-    if total > 0 and searched.re_min == -searched.re_max:
-        located, note = _mirror_locate(cfg, searched, total, tol, memo)
-        if located is None:
-            logger.debug("mirror search of %s falls back to the full box: %s", searched, note)
-    if located is None:
-        located, note = _locate(cfg, searched, total, tol, memo), "full path"
     roots = []
-    for z, mult in located:
+    for z, mult in _locate(cfg, searched, total, tol, memo):
         g = model.gamma_stack(cfg, z)
         roots.append(
             RootRecord(
@@ -579,8 +545,9 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
             )
         )
     logger.debug(
-        "search of %s, %s: %d panels evaluated, %d reused, %d det samples",
-        searched, note, memo.evaluated, memo.reused, memo.det_samples,
+        "search of %s: %d boxes resolved by moments, %d quadrisected: "
+        "%d panels evaluated, %d reused, %d det samples",
+        searched, memo.resolved, memo.split, memo.evaluated, memo.reused, memo.det_samples,
     )
     roots.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(roots=roots, searched=searched, total_count=total)
@@ -662,8 +629,10 @@ def certify_real_axis(
     z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
     if grid_step is None:
         grid_step = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
-    if grid_step <= 0.0:
-        raise ValueError("certify_real_axis requires grid_step > 0")
+    if not (np.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError("certify_real_axis requires a finite grid_step > 0")
+    if z_max is not None and not (np.isfinite(z_max) and z_max > 0.0):
+        raise ValueError("certify_real_axis requires a finite z_max > 0")
     top = z_max if z_max is not None else z_star
     count = int(np.ceil(top / grid_step))
     grid = grid_step * np.arange(1, count + 1)

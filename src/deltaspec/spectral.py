@@ -9,8 +9,7 @@ by one at each crossing.  The negative-eigenvalue solver bisects the inertia
 with all brackets in one batch per level.  The k-th curve is negative at a
 midpoint exactly when the inertia there exceeds k, so each bracket a
 per-curve bisection would keep is one of the brackets kept here, and the
-crossings are the same bit for bit.  The resonance search uses the same
-bisection for the zeros of det Gamma on the imaginary axis.
+crossings are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -81,29 +80,25 @@ class SpectralReport:
         return sum(rec.multiplicity for rec in self.eigenvalues)
 
 
-def _inertia(cfg: PointConfig, ts: np.ndarray) -> np.ndarray:
-    """Number of negative eigenvalues of the real symmetric Gamma(it), per t."""
-    return np.count_nonzero(np.linalg.eigvalsh(gamma_imag_axis(cfg, ts)) < 0.0, axis=-1)
-
-
-def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray, narrow):
-    """Brackets (lo, hi, inertia jump) of t across which `counts`, the inertia
-    of Gamma(it) on the grid ts, changes, bisected until narrow(lo, hi) holds
-    or lo, hi are adjacent floats (spectrum slicing; Barth, Martin & Wilkinson
-    1967).  Each level counts the inertia at every midpoint with one batched
-    eigvalsh and keeps each half across which it changes.  Also returns the
-    number of levels and of midpoint matrices factored."""
+def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray):
+    """Brackets (lo, hi, inertia jump) of t >= 0 across which `counts`, the
+    number of negative eigenvalues of Gamma(it) on the grid ts, changes,
+    bisected to width 5e-14 * (1 + hi) (spectrum slicing; Barth, Martin &
+    Wilkinson 1967), which adjacent floats always meet.  Each level counts the
+    inertia at every midpoint with one batched eigvalsh and keeps each half
+    across which it changes.  Also returns the number of levels and of
+    midpoint matrices factored."""
     k = np.flatnonzero(counts[1:] != counts[:-1])
     lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
     final, levels, matrices = [], 0, 0
     while True:
         mid = 0.5 * (lo + hi)
-        stop = narrow(lo, hi) | (mid <= lo) | (mid >= hi)
+        stop = hi - lo <= 5e-14 * (1.0 + hi)
         final.append((lo[stop], hi[stop], np.abs(n_hi - n_lo)[stop]))
         lo, hi, n_lo, n_hi, mid = lo[~stop], hi[~stop], n_lo[~stop], n_hi[~stop], mid[~stop]
         if not lo.size:
             break
-        n_mid = _inertia(cfg, mid)
+        n_mid = np.count_nonzero(np.linalg.eigvalsh(gamma_imag_axis(cfg, mid)) < 0.0, axis=-1)
         levels, matrices = levels + 1, matrices + mid.size
         left, right = n_mid != n_lo, n_mid != n_hi
         lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
@@ -127,15 +122,15 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     `deltaspec.spectral` gives the bisection levels, the matrices factored,
     the crossings and the records.
     """
-    if tol <= 0.0:
-        raise ValueError("negative_eigenvalues requires tol > 0")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("negative_eigenvalues requires a finite tol > 0")
     lam_hi = row_sum_bound(cfg) + 1.0
     ends = np.array([0.0, lam_hi])
     mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
     if mu[1, 0] <= 0.0:
         raise ConvergenceError("upper bisection bracket is not positive definite")
     lo, hi, jumps, levels, matrices = _inertia_brackets(
-        cfg, ends, np.count_nonzero(mu < 0.0, axis=-1), lambda a, b: b - a <= 5e-14 * (1.0 + b)
+        cfg, ends, np.count_nonzero(mu < 0.0, axis=-1)
     )
 
     # Crossings at lam <= tol belong to the threshold, not the spectrum.
@@ -210,8 +205,8 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     tails of the constituent kernels then cancel).  Both the kernel structure
     and the label are reported, never conflated.
     """
-    if tol <= 0.0:
-        raise ValueError("classify_zero requires tol > 0")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("classify_zero requires a finite tol > 0")
     g0 = gamma_imag_axis(cfg, 0.0)
     kernel = linalg.null_space(g0, tol)
     kdim = len(kernel)
@@ -270,8 +265,8 @@ def laurent_at_zero(
     circle grazes a singularity of the inverse.  Each halving is logged at
     DEBUG on the `deltaspec.spectral` logger.
     """
-    if radius <= 0.0:
-        raise ValueError("laurent_at_zero requires radius > 0")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError("laurent_at_zero requires a finite radius > 0")
     if not 4 <= nodes <= _LAURENT_MAX_NODES // 2:
         raise ValueError(f"nodes must lie in [4, {_LAURENT_MAX_NODES // 2}]")
     r = float(radius)

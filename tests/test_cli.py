@@ -344,6 +344,36 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "two", "--tol", "nan"],
+        ["classify-zero", "one", "--tol", "nan"],
+        ["laurent", "one", "--radius", "inf"],
+        ["resonances", "one", "--box", "-1", "1", "-20", "-1", "--tol", "inf"],
+        ["certify", "one", "--zmax", "inf"],
+        ["certify", "one", "--zmax", "nan"],
+        ["certify", "one", "--grid", "inf"],
+        ["scan-det", "one", "--axis", "real", "--from", "0", "--to", "inf", "--step", "0.1"],
+        ["scan-det", "one", "--axis", "real", "--from", "nan", "--to", "1", "--step", "0.1"],
+        ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "nan"],
+    ],
+)
+def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
+    # NaN fails every comparison and inf overflows a grid count; both must be
+    # rejected up front instead of giving a wrong answer or a traceback
+    configs = {
+        "one": write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]], "one.json"),
+        "two": write_config(tmp_path, [-1.0, -0.5], [[0, 0, 0], [1, 0, 0]], "two.json"),
+    }
+    argv = [argv[0], configs[argv[1]], *argv[2:]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("deltaspec: error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "no-such-command", "cfg.json")[0] == 2
     assert run(capsys)[0] == 2

@@ -257,15 +257,13 @@ def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
 
 
 def test_inertia_bisection_stops_at_adjacent_floats():
-    # near t = 2**45 neighbouring doubles are 2**-7 apart, wider than the
-    # resonance search's 1e-3 stopping width: such a bracket cannot be halved
-    # and is returned as it is instead of being bisected forever
+    # near t = 2**45 neighbouring doubles are 2**-7 apart, still within the
+    # stopping width 5e-14 * (1 + t): a bracket that cannot be halved is
+    # returned as it is instead of being bisected forever
     cfg = two_center_config(-1.0, 1.0)
     t = 2.0 ** 45
     ts = np.array([t, np.nextafter(t, np.inf)])
-    lo, hi, jumps, levels, matrices = spectral._inertia_brackets(
-        cfg, ts, np.array([2, 0]), lambda a, b: b - a < 1e-3
-    )
+    lo, hi, jumps, levels, matrices = spectral._inertia_brackets(cfg, ts, np.array([2, 0]))
     assert (lo.tolist(), hi.tolist(), jumps.tolist()) == ([ts[0]], [ts[1]], [2])
     assert (levels, matrices) == (0, 0)
 
