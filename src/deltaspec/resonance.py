@@ -435,8 +435,8 @@ def _split_counted(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
 
 
 def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box):
-    """Newton on log det from z with the multiplicity-scaled step mult/tr(Gamma^-1
-    Gamma'); None if an iterate leaves the box padded by twice its diameter."""
+    """Newton on log det from z with steps mult/tr(Gamma^-1 Gamma'); None when an
+    iterate leaves the box padded by twice its diameter or no step falls below tol."""
     for _ in range(_NEWTON_MAX_STEPS):
         try:
             f = complex(_trace_logdet(cfg, np.array([z]))[0])

@@ -20,7 +20,8 @@ GOLDEN = Path(__file__).with_name("golden_resonances.json")
 
 # (seed, number of centers, search box); configs as in acceptance criterion 7.
 # The first four boxes are symmetric about Re z = 0, the next four are not;
-# the last is an N=8 config whose box holds 19 zeros.
+# the last, an N=8 config whose box holds 19 zeros, is too crowded for one
+# moment step, so its search is quadrisected.
 SEARCH = (-5.0, 5.0, -5.0, -0.2)
 CORPUS = [
     (101, 2, SEARCH),
