@@ -452,6 +452,32 @@ def test_crowded_box_falls_back_to_quadrisection(caplog):
     assert all(found.searched.contains(r.z) for r in found.roots)
 
 
+def test_tangent_zero_on_the_axis_falls_back(monkeypatch, caplog):
+    # det Gamma ~ c z^2 at the origin and no eigenvalue of Gamma(it) changes
+    # sign there.  With the moment step of the full box refused, the box is
+    # quadrisected about the zero and its children still give one double zero.
+    cfg = two_center_config(-1.0 / FOUR_PI, 1.0)
+    box = Box(-0.1, 0.1, -0.1, 0.1)
+    original = resonance._moment_roots
+
+    def refuse_full_box(cfg, searched, count, tol, memo):
+        if searched == box:
+            return None, "rank: refused"
+        return original(cfg, searched, count, tol, memo)
+
+    monkeypatch.setattr(resonance, "_moment_roots", refuse_full_box)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        found = find_resonances(cfg, box)
+    assert f"quadrisecting {box}, count 2: rank: refused" in caplog.messages
+    assert ", 1 quadrisected: " in summary_line(caplog.messages)
+    assert found.total_count == 2
+    [root] = found.roots
+    assert root.multiplicity == 2
+    # the child box is not centred on the zero; Newton stops at the search tol
+    assert abs(root.z) <= 1e-10
+    assert root.kind == "threshold"
+
+
 # ---------------------------------------------------------------- certificate
 
 
