@@ -18,9 +18,9 @@ in a counted box; a Hankel eigenproblem turns them into the zeros (Delves &
 Lyness 1967), polished by Newton steps.  Unresolved boxes are quadrisected.
 
 The certificate scans the positive real axis up to the analytic
-large-momentum bound, recording the smallest singular value of Gamma(z) and
-the Cholesky outcome of the sinc Gram matrix at every grid point; beyond the
-bound the row-sum estimate itself certifies invertibility.
+large-momentum bound, recording the smallest singular value of Gamma(z) at
+every grid point; beyond the bound the row-sum estimate itself certifies
+invertibility.
 """
 
 from __future__ import annotations
@@ -556,21 +556,17 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
 @dataclass(frozen=True)
 class Certificate:
     """Real-axis non-singularity evidence (absence of positive resonances):
-    grid scan of sigma_min(Gamma(z)) plus sinc-Gram Cholesky up to z_star,
-    with the analytic row-sum bound covering z > z_star.
+    grid scan of sigma_min(Gamma(z)) up to z_star, with the analytic row-sum
+    bound covering z > z_star.
 
-    A true verdict on the finite grid is evidence, not proof, for z between
-    grid points; a false verdict would be loud news and is reported as-is.
-    Caveat for many centers: as z -> 0 the sinc Gram matrix approaches the
-    rank-one all-ones matrix and its smallest exact eigenvalue scales like a
-    high power of z, so for N beyond ~10 double-precision Cholesky can fail
-    at the smallest grid points even though the matrix is positive definite
-    exactly; sigma_min stays the load-bearing invertibility figure there.
+    The verdict is true when the grid reaches z_star and sigma_min exceeds
+    the threshold at every grid point.  A true verdict on the finite grid is
+    evidence, not proof, for z between grid points; a false verdict would be
+    loud news and is reported as-is.
     """
 
     z_grid: np.ndarray
     sigma_min: np.ndarray
-    cholesky_ok: np.ndarray
     z_star: float
     verdict: bool
     threshold: float
@@ -619,12 +615,10 @@ def certify_real_axis(
 
     The grid runs in chunks of at most 2,048 points, one per task on a pool of
     as many threads as the process may use CPUs, so at most that many chunks'
-    Gamma and Gram stacks (2,048 N x N complex and real matrices each) are held
-    at once next to the three result arrays.  Each point's sigma_min is one
-    LAPACK SVD of its own Gamma, and its Cholesky verdict is LAPACK's on its
-    own Gram matrix alone: when a chunk's batched Cholesky fails, each of its
-    points is factored on its own.  So the certificate does not depend on the
-    chunking or the number of threads, bit for bit.
+    Gamma stacks (2,048 N x N complex matrices each) are held at once next to
+    the two result arrays.  Each point's sigma_min is one LAPACK SVD of its own
+    Gamma, so the certificate does not depend on the chunking or the number of
+    threads, bit for bit.
     """
     z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
     if grid_step is None:
@@ -638,41 +632,18 @@ def certify_real_axis(
     grid = grid_step * np.arange(1, count + 1)
 
     sigma = np.empty(grid.size)
-    chol_ok = np.ones(grid.size, dtype=bool)
 
     def scan(sl):
-        zs = grid[sl]
-        sigma[sl] = np.linalg.svd(model.gamma_stack(cfg, zs), compute_uv=False)[:, -1]
-        grams = model.sinc_gram(cfg, zs)
-        try:
-            np.linalg.cholesky(grams)
-        except np.linalg.LinAlgError:
-            for i, gram in enumerate(grams, sl.start):
-                try:
-                    np.linalg.cholesky(gram)
-                except np.linalg.LinAlgError:
-                    chol_ok[i] = False
-            return grams.shape[0], int(chol_ok[sl].sum())
-        return None
+        sigma[sl] = np.linalg.svd(model.gamma_stack(cfg, grid[sl]), compute_uv=False)[:, -1]
 
-    chunks = _map_chunks(scan, grid.size)
-    failed = [c for c in chunks if c is not None]
-    if failed:
-        logger.debug(
-            "certify: batched Cholesky failed on %d of %d chunks; %d points took "
-            "the per-matrix Cholesky and %d of them passed",
-            len(failed), len(chunks), sum(p for p, _ in failed), sum(q for _, q in failed),
-        )
-
+    _map_chunks(scan, grid.size)
     covers = grid.size > 0 and float(grid[-1]) >= z_star
-    verdict = bool(covers and np.all(sigma > CERTIFY_SIGMA_THRESHOLD) and np.all(chol_ok))
+    verdict = bool(covers and np.all(sigma > CERTIFY_SIGMA_THRESHOLD))
     grid.setflags(write=False)
     sigma.setflags(write=False)
-    chol_ok.setflags(write=False)
     return Certificate(
         z_grid=grid,
         sigma_min=sigma,
-        cholesky_ok=chol_ok,
         z_star=z_star,
         verdict=verdict,
         threshold=CERTIFY_SIGMA_THRESHOLD,

@@ -158,11 +158,11 @@ def test_certify_with_csv(tmp_path, capsys):
     assert doc["z_star"] == pytest.approx(FOUR_PI + 2.0)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["z", "sigma_min", "cholesky_ok"]
+    assert rows[0] == ["z", "sigma_min"]
     assert len(rows) - 1 == doc["num_grid_points"]
     zs = [float(r[0]) for r in rows[1:]]
     assert zs == sorted(zs)
-    assert all(r[2] == "1" for r in rows[1:])
+    assert all(float(r[1]) > doc["threshold"] for r in rows[1:])
 
 
 def test_certify_numeric_zmax(tmp_path, capsys):
@@ -357,6 +357,10 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["scan-det", "one", "--axis", "real", "--from", "0", "--to", "inf", "--step", "0.1"],
         ["scan-det", "one", "--axis", "real", "--from", "nan", "--to", "1", "--step", "0.1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "nan"],
+        ["resolvent", "one", "--z", "1,0", "--x", "inf,0,0", "--xp", "0,1,0"],
+        ["resolvent", "one", "--z", "1,0", "--x", "nan,0,0", "--xp", "0,1,0"],
+        ["resolvent", "one", "--z", "1,0", "--x", "1,0,0", "--xp", "0,inf,0"],
+        ["resolvent", "one", "--z", "nan,0", "--x", "1,0,0", "--xp", "0,1,0"],
     ],
 )
 def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
@@ -372,6 +376,34 @@ def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("deltaspec: error:")
     assert "Traceback" not in err
+    if argv[0] == "resolvent":  # the error names the flag
+        [flag] = [f for f, v in zip(argv[2::2], argv[3::2]) if "inf" in v or "nan" in v]
+        assert f"{flag} expects finite numbers" in err
+
+
+@pytest.mark.parametrize(
+    "exponent, decimal",
+    [
+        (
+            ["resonances", "--box", "-5e-1", "5e-1", "-2e1", "-1e0"],
+            ["resonances", "--box", "-0.5", "0.5", "-20", "-1"],
+        ),
+        (
+            ["scan-det", "--axis", "real", "--from", "-1e-3", "--to", "1", "--step", "0.25"],
+            ["scan-det", "--axis", "real", "--from", "-0.001", "--to", "1", "--step", "0.25"],
+        ),
+    ],
+)
+def test_negative_exponent_form_parses_as_a_number(tmp_path, capsys, exponent, decimal):
+    path = write_config(tmp_path, [1.0], [[0.0, 0.0, 0.0]])
+    docs = []
+    for argv in (exponent, decimal):
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        doc = json.loads(out)
+        doc["manifest"].pop("timestamp")
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_usage_error_exit_code(capsys):

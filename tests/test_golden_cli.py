@@ -7,8 +7,9 @@ one.  Config paths are given relative to `golden_cli/`, so the manifests do
 not depend on where the repository lives.  Regenerate (only after a
 deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`;
 it prints which jobs changed, for a `resonances` job what changed in its
-roots, and for a `spectrum` job what changed in its records, before writing
-the new corpus.
+roots, for a `spectrum` job what changed in its records, and for a `certify`
+job what changed in its keys, grid, verdict and sigma_min, before writing the
+new corpus.
 """
 
 import json
@@ -36,12 +37,12 @@ def _configs() -> dict:
         "n2.json": seeded(201, 2, radius=1.2, min_dist=0.5, alpha_scale=2.0),
         "n3.json": seeded(202, 3, radius=1.2, min_dist=0.5, alpha_scale=2.0),
         "n5.json": seeded(203, 5, radius=2.0, min_dist=0.3, alpha_scale=3.0),
-        # as in test_certificate_large_n_gram_precision_exhaustion: the
-        # smallest grid points take the per-matrix Cholesky fallback
+        # as in test_certificate_large_n_gram_precision_exhaustion: many
+        # centers, where the sinc Gram matrix near z = 0 is numerically
+        # indefinite while sigma_min(Gamma) stays far from the threshold
         "n40.json": seeded(5150, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
-        # its Gram matrix at z = 0.1 sits at the precision edge of LAPACK's
-        # dpotrf, which rejects it; the chunk of that point fails, so every
-        # point gets its own factorization
+        # a second N=40 config; both certify jobs stop at --zmax 1, short of
+        # z_star, so their verdict is false for lack of coverage
         "n40b.json": seeded(5163, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
     }
 
@@ -157,17 +158,22 @@ def resolvent_changes(old: bytes, new: bytes) -> list[str]:
 
 
 def certify_changes(old: bytes, new: bytes) -> list[str]:
-    """What changed between two outputs of a `certify` job: the grid points
-    whose Cholesky verdict flipped, and the verdict."""
+    """What changed between two outputs of a `certify` job: removed and new
+    keys, the grid, the verdict, and the largest |dsigma_min| on an unchanged
+    grid."""
     a, b = json.loads(old), json.loads(new)
-    lines = [
-        f"cholesky_ok at z = {z!r}: {p} -> {q}"
-        for z, p, q in zip(b["z_grid"], a["cholesky_ok"], b["cholesky_ok"])
-        if p != q
-    ]
+    lines = [f"removed key {k}" for k in a if k not in b]
+    lines += [f"new key {k}" for k in b if k not in a]
     if a["verdict"] != b["verdict"]:
         lines.append(f"verdict: {a['verdict']} -> {b['verdict']}")
-    return lines or ["changed"]
+    if a["z_grid"] != b["z_grid"]:
+        lines.append(f"z_grid changed: {len(a['z_grid'])} -> {len(b['z_grid'])} points")
+    else:
+        dsigma = max(
+            (abs(p - q) for p, q in zip(a["sigma_min"], b["sigma_min"])), default=0.0
+        )
+        lines.append(f"max |dsigma_min| = {dsigma:.3g} over {len(b['z_grid'])} points")
+    return lines
 
 
 def test_spectrum_changes_report():
@@ -182,6 +188,26 @@ def test_spectrum_changes_report():
     ]
     del doc["eigenvalues"][0]
     assert spectrum_changes(old, json.dumps(doc).encode()) == ["record count: 2 -> 1"]
+
+
+def test_certify_changes_report():
+    old = (GOLDEN / "n2-certify.json").read_bytes()
+    doc = json.loads(old)
+    size = len(doc["z_grid"])
+    assert certify_changes(old, old) == [f"max |dsigma_min| = 0 over {size} points"]
+    doc["sigma_min"][3] += 2.0 ** -40  # exact on a sigma_min below 2**12
+    doc["verdict"] = not doc["verdict"]
+    doc["extra"] = doc.pop("min_sigma_min")
+    assert certify_changes(old, json.dumps(doc).encode()) == [
+        "removed key min_sigma_min",
+        "new key extra",
+        f"verdict: {not doc['verdict']} -> {doc['verdict']}",
+        f"max |dsigma_min| = {2.0 ** -40:.3g} over {size} points",
+    ]
+    doc["z_grid"].pop()
+    assert certify_changes(old, json.dumps(doc).encode())[-1] == (
+        f"z_grid changed: {size} -> {size - 1} points"
+    )
 
 
 REPORTS = {"spectrum": spectrum_changes, "resolvent": resolvent_changes, "certify": certify_changes}
