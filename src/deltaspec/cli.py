@@ -318,8 +318,10 @@ def _cmd_scan_det(args) -> dict:
     return {"axis": args.axis, "from": args.start, "to": args.stop, "step": args.step, "rows": rows}
 
 
-# A negative decimal number, with or without an exponent.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# A negative decimal number, with or without an exponent, alone or first in a
+# comma-separated tuple of such numbers (signed or not), as --z takes.
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -332,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         # argparse reads only -5 and -0.2 as negative numbers, so a value such
-        # as -2e-1 would be taken for an option; it has no public setting.
+        # as -2e-1 or -1,0.5 would be taken for an option; it has no public
+        # setting.
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out", help="write JSON result to FILE instead of stdout")

@@ -10,8 +10,9 @@ level; it builds the same panel tree and gives the same results, bit for
 bit, as the recursive rule applied one edge at a time.  Within one search
 each Gauss panel is evaluated once: a child's outer edge reuses the panels
 of its parent's edge, and the inner edge that two siblings share in opposite
-orientation reuses them reversed.  Each boundary segment of a batch of boxes
-is sampled for det Gamma once.
+orientation reuses them reversed.  The quadrature alone decides whether a
+boundary is usable: a singular node, a panel still open at the depth limit
+or a winding not within 0.25 of an integer rejects the box.
 
 Weighted by powers of z, the node values give the power sums of the zeros
 in a counted box; a Hankel eigenproblem turns them into the zeros (Delves &
@@ -34,11 +35,8 @@ import numpy as np
 from . import model
 from .model import PointConfig
 
-# Boundary admissibility: smallest |det| allowed on sampled boundary points.
-DET_FLOOR = 1e-12
 _JITTER = 1e-6
 _JITTER_RETRIES = 5
-_EDGE_SAMPLES = 64
 # Deep enough to resolve a pole at the minimum jitter distance 1e-6*diameter
 # from a contour edge (the Gauss rule needs panels comparable to the pole
 # clearance before it converges).
@@ -102,6 +100,8 @@ class Box:
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("box must satisfy re_min < re_max and im_min < im_max")
+        if not np.isfinite(self.diameter):
+            raise ValueError("box must have finite bounds and a finite diameter")
 
     @property
     def width(self) -> float:
@@ -209,7 +209,6 @@ class _SearchMemo:
         self.accepted: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.evaluated = 0
         self.reused = 0
-        self.det_samples = 0
         self.resolved = 0
         self.split = 0
 
@@ -230,18 +229,17 @@ class _SearchMemo:
         return np.array([panels[key] for key in keys])
 
 
-def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo=None):
+def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo: _SearchMemo):
     """16-node Gauss-Legendre integrals of tr(Gamma^-1 Gamma') over the panels
     a[i] -> b[i], and a mask of the panels with a singular or non-finite node.
 
-    The node values come from the memo (a fresh one when not given): only
-    panels it has not seen, in either orientation, are evaluated, each once
-    per batch.  The nodes of b -> a are those of a -> b in reverse order, bit
-    for bit (the Gauss rule is symmetric and mid and half flip exactly), so
-    the weighted sum of the reversed values is the one a fresh evaluation
-    gives.
+    The node values come from the memo: only panels it has not seen, in
+    either orientation, are evaluated, each once per batch.  The nodes of
+    b -> a are those of a -> b in reverse order, bit for bit (the Gauss rule
+    is symmetric and mid and half flip exactly), so the weighted sum of the
+    reversed values is the one a fresh evaluation gives.
     """
-    vals = (_SearchMemo() if memo is None else memo).node_values(cfg, a, b)
+    vals = memo.node_values(cfg, a, b)
     half = 0.5 * (b - a)
     s = np.sum(_GL_W * vals, axis=1)
     # half * s written out: numpy's vectorised complex multiply may fuse
@@ -257,7 +255,7 @@ def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1).ravel()
 
 
-def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | None]:
+def _edge_integrals(cfg: PointConfig, contours, memo: _SearchMemo) -> list[np.ndarray | None]:
     """Integrals of tr(Gamma^-1 Gamma') along every edge (za, zb) of each
     contour; None for a contour whose quadrature failed.
 
@@ -317,7 +315,7 @@ def _edge_integrals(cfg: PointConfig, contours, memo=None) -> list[np.ndarray | 
     for c, edges in enumerate(contours):
         stop = start + len(edges)
         out.append(None if failed[c] else vals[start:stop])
-        if memo is not None and not failed[c]:
+        if not failed[c]:
             memo.accepted[tuple(edges)] = (lo[own == c], hi[own == c])
         start = stop
     return out
@@ -328,28 +326,7 @@ def _edges(box: Box) -> list[tuple[complex, complex]]:
     return [(cs[k], cs[(k + 1) % 4]) for k in range(4)]
 
 
-def _admissible(cfg: PointConfig, boxes, memo=None) -> np.ndarray:
-    """Per box: |det Gamma| stays above DET_FLOOR at the sampled boundary points.
-
-    Each boundary segment of the batch is sampled once, in the orientation it
-    is first seen in, so the inner edge two siblings share costs one sweep.
-    """
-    segments = {}
-    rows = []
-    for box in boxes:
-        for za, zb in _edges(box):
-            key = (zb, za) if (zb, za) in segments else (za, zb)
-            rows.append(segments.setdefault(key, len(segments)))
-    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    zs = np.concatenate([za + t * (zb - za) for za, zb in segments])
-    dets = np.linalg.det(model.gamma_stack(cfg, zs)).reshape(len(segments), -1)
-    if memo is not None:
-        memo.det_samples += zs.size
-    lowest = np.abs(dets).min(axis=1)[rows].reshape(len(boxes), -1)
-    return lowest.min(axis=1) > DET_FLOOR
-
-
-def _windings(cfg: PointConfig, boxes, memo=None) -> list[int | None]:
+def _windings(cfg: PointConfig, boxes, memo: _SearchMemo) -> list[int | None]:
     """Winding counts of the boxes; None where the edge quadrature failed or
     the winding integral is not near an integer."""
     counts = []
@@ -367,14 +344,14 @@ def _windings(cfg: PointConfig, boxes, memo=None) -> list[int | None]:
 
 
 def _counted_box(cfg: PointConfig, box: Box, memo: _SearchMemo) -> tuple[Box, int]:
-    """Winding count with an admissible boundary.
+    """Winding count of the box, or of the first shrunk box whose count settles.
 
-    The box shrinks inward by growing multiples of 1e-6 * diameter whenever a
-    boundary sample sits on a zero of det Gamma or the edge quadrature fails
-    to resolve a grazing pole.  Shrinking (rather than expanding) never pulls
-    new zeros into the search region, and it keeps boundary zeros -- notably
-    z = 0, which belongs to the threshold classification -- outside the
-    reported count.
+    The box shrinks inward by growing multiples of 1e-6 * diameter whenever
+    its edge quadrature fails (a node on a zero of det Gamma, or a grazing
+    zero the panels do not resolve) or its winding is not near an integer.
+    Shrinking (rather than expanding) never pulls new zeros into the search
+    region, and it keeps boundary zeros -- notably z = 0, which belongs to the
+    threshold classification -- outside the reported count.
     """
     for k in range(_JITTER_RETRIES + 1):
         if k == 0:
@@ -384,9 +361,6 @@ def _counted_box(cfg: PointConfig, box: Box, memo: _SearchMemo) -> tuple[Box, in
                 candidate = box.shrunk(k * _JITTER * box.diameter)
             except ValueError:
                 break
-        if not _admissible(cfg, [candidate], memo)[0]:
-            logger.debug("shrinking %s: inadmissible boundary", candidate)
-            continue
         [count] = _windings(cfg, [candidate], memo)
         if count is not None:
             return candidate, count
@@ -420,16 +394,13 @@ def _split_counted(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     """
     for fx, fy in _SPLIT_FRACTIONS:
         children = box.split(fx, fy)
-        if not _admissible(cfg, children, memo).all():
-            reason = "inadmissible boundary"
+        counts = _windings(cfg, children, memo)
+        if None in counts:
+            reason = "failed winding"
+        elif sum(counts) == count:
+            return list(zip(children, counts))
         else:
-            counts = _windings(cfg, children, memo)
-            if None in counts:
-                reason = "failed winding"
-            elif sum(counts) == count:
-                return list(zip(children, counts))
-            else:
-                reason = f"count mismatch {counts} != {count}"
+            reason = f"count mismatch {counts} != {count}"
         logger.debug("nudging split of %s at (%g, %g): %s", box, fx, fy, reason)
     raise SubdivisionError("no admissible quadrisection found")
 
@@ -546,8 +517,8 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
         )
     logger.debug(
         "search of %s: %d boxes resolved by moments, %d quadrisected: "
-        "%d panels evaluated, %d reused, %d det samples",
-        searched, memo.resolved, memo.split, memo.evaluated, memo.reused, memo.det_samples,
+        "%d panels evaluated, %d reused",
+        searched, memo.resolved, memo.split, memo.evaluated, memo.reused,
     )
     roots.sort(key=lambda r: (r.z.real, r.z.imag))
     return ResonanceSet(roots=roots, searched=searched, total_count=total)

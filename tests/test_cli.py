@@ -351,6 +351,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["classify-zero", "one", "--tol", "nan"],
         ["laurent", "one", "--radius", "inf"],
         ["resonances", "one", "--box", "-1", "1", "-20", "-1", "--tol", "inf"],
+        ["resonances", "one", "--box", "-1", "inf", "-20", "-1"],
         ["certify", "one", "--zmax", "inf"],
         ["certify", "one", "--zmax", "nan"],
         ["certify", "one", "--grid", "inf"],
@@ -363,9 +364,11 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["resolvent", "one", "--z", "nan,0", "--x", "1,0,0", "--xp", "0,1,0"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
     # NaN fails every comparison and inf overflows a grid count; both must be
-    # rejected up front instead of giving a wrong answer or a traceback
+    # rejected up front instead of giving a wrong answer, a warning or a
+    # traceback
     configs = {
         "one": write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]], "one.json"),
         "two": write_config(tmp_path, [-1.0, -0.5], [[0, 0, 0], [1, 0, 0]], "two.json"),
@@ -399,6 +402,19 @@ def test_negative_exponent_form_parses_as_a_number(tmp_path, capsys, exponent, d
     docs = []
     for argv in (exponent, decimal):
         code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        doc = json.loads(out)
+        doc["manifest"].pop("timestamp")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_negative_tuple_parses_as_a_value(tmp_path, capsys):
+    # --z -1,0.5 is the value of --z, not an option, as --z=-1,0.5 is
+    path = write_config(tmp_path, [1.0], [[0.0, 0.0, 0.0]])
+    docs = []
+    for z in (["--z", "-1,0.5"], ["--z=-1,0.5"]):
+        code, out, _ = run(capsys, "resolvent", path, *z, "--x", "1,0,0", "--xp", "-1,-2e-1,0")
         assert code == 0
         doc = json.loads(out)
         doc["manifest"].pop("timestamp")

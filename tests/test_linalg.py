@@ -1,8 +1,8 @@
 """Oracle checks of the LAPACK conventions the library relies on, through
-numpy, its only binding: det by LU (root records, scan-det and the boundary
-det sweeps), solves (the edge quadrature), the symmetric eigensolver and the
-smallest singular value.  Also the outcome-typed test Cholesky, the
-resolvent's singular-Gamma rejection and null_space."""
+numpy, its only binding: det by LU (root records and scan-det), solves (the
+edge quadrature), the symmetric eigensolver and the smallest singular
+value.  Also the outcome-typed test Cholesky, the resolvent's singular-Gamma
+rejection and null_space."""
 
 import numpy as np
 import pytest

@@ -20,14 +20,12 @@ from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resonance import (
     _GL_W,
     _GL_X,
-    _EDGE_SAMPLES,
     _EDGE_TOL,
     _MAX_EDGE_DEPTH,
     EIGENVALUE_POLE,
     RESONANCE,
     SubdivisionError,
     _SearchMemo,
-    _admissible,
     _edge_integrals,
     _edges,
     _panel_integrals,
@@ -175,7 +173,7 @@ def test_find_residuals_are_recorded():
         for root in found.roots:
             g = gamma_stack(cfg, root.z)
             assert root.sigma_min == pytest.approx(np.linalg.svd(g, compute_uv=False)[-1])
-            # the same |det| as the boundary sweeps and scan-det
+            # the same |det| as scan-det
             assert root.abs_det == abs(np.linalg.det(g))
 
 
@@ -224,12 +222,12 @@ def test_batched_edge_quadrature_is_bit_identical_on_search_box():
     for cfg in cfgs:
         edges = _edges(box)
         expected = [edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []) for za, zb in edges]
-        [together] = _edge_integrals(cfg, [edges])
-        singly = [_edge_integrals(cfg, [[edge]])[0][0] for edge in edges]
+        [together] = _edge_integrals(cfg, [edges], _SearchMemo())
+        singly = [_edge_integrals(cfg, [[edge]], _SearchMemo())[0][0] for edge in edges]
         for want, got_together, got_singly in zip(expected, together, singly):
             assert same_bits(want, got_together)
             assert same_bits(want, got_singly)
-        batched = _edge_integrals(cfg, [edges, edges[::-1]])
+        batched = _edge_integrals(cfg, [edges, edges[::-1]], _SearchMemo())
         assert all(same_bits(w, g) for w, g in zip(expected, batched[0]))
         assert all(same_bits(w, g) for w, g in zip(expected[::-1], batched[1]))
 
@@ -243,13 +241,14 @@ def test_batched_edge_quadrature_is_bit_identical_near_a_zero():
     depths = []
     expected = edge_quad_reference(cfg, *edge, _EDGE_TOL, 0, depths)
     assert max(depths) >= 12
-    got, clean = _edge_integrals(cfg, [[edge], _edges(Box(2.0, 3.0, -5.0, -1.0))])
+    clean_edges = _edges(Box(2.0, 3.0, -5.0, -1.0))
+    got, clean = _edge_integrals(cfg, [[edge], clean_edges], _SearchMemo())
     assert same_bits(expected, got[0])
     assert clean is not None
     # an oblique edge, whose panel half-lengths have two non-zero parts
     oblique = (complex(-1.0, -4.0 * np.pi + 0.5), complex(1.5, -4.0 * np.pi - 0.25))
     expected = edge_quad_reference(cfg, *oblique, _EDGE_TOL, 0, [])
-    assert same_bits(expected, _edge_integrals(cfg, [[oblique]])[0][0])
+    assert same_bits(expected, _edge_integrals(cfg, [[oblique]], _SearchMemo())[0][0])
 
 
 def test_failed_box_does_not_fail_its_batch():
@@ -259,8 +258,8 @@ def test_failed_box_does_not_fail_its_batch():
     cfg = one_center(1.0)
     grazing = Box(-1.0, 1.0, -4.0 * np.pi, -1.0)
     clean = Box(-1.0, 1.0, -20.0, -1.0)
-    assert _windings(cfg, [grazing, clean]) == [None, 1]
-    assert _windings(cfg, [clean, grazing]) == [1, None]
+    assert _windings(cfg, [grazing, clean], _SearchMemo()) == [None, 1]
+    assert _windings(cfg, [clean, grazing], _SearchMemo()) == [1, None]
     assert count_zeros_in_box(cfg, grazing) == 0
     assert count_zeros_in_box(cfg, clean) == 1
 
@@ -275,14 +274,14 @@ def test_singular_node_fails_only_its_panel():
     with pytest.raises(np.linalg.LinAlgError):
         _trace_logdet(cfg, np.array([node]))
     ca, cb = complex(2.0, -20.0), complex(2.0, -1.0)
-    sums, bad = _panel_integrals(cfg, np.array([a, ca]), np.array([b, cb]))
+    sums, bad = _panel_integrals(cfg, np.array([a, ca]), np.array([b, cb]), _SearchMemo())
     assert bad.tolist() == [True, False]
-    alone, _ = _panel_integrals(cfg, np.array([ca]), np.array([cb]))
+    alone, _ = _panel_integrals(cfg, np.array([ca]), np.array([cb]), _SearchMemo())
     assert same_bits(sums[1], alone[0])
     # the box whose right edge holds the node fails, the clean one counts
     singular = Box(-1.0, 0.0, -20.0, -1.0)
     assert _edges(singular)[1] == (a, b)
-    assert _windings(cfg, [singular, Box(-1.0, 1.0, -20.0, -1.0)]) == [None, 1]
+    assert _windings(cfg, [singular, Box(-1.0, 1.0, -20.0, -1.0)], _SearchMemo()) == [None, 1]
     assert count_zeros_in_box(cfg, singular) == 0
 
 
@@ -321,10 +320,9 @@ def test_search_evaluates_each_panel_once(monkeypatch, caplog):
     assert found.total_count > 0
     assert repeats == []
     [summary] = [m for m in caplog.messages if m.startswith("search of")]
-    evaluated, reused, samples = map(int, re.findall(r"\d+", summary.rsplit(": ", 1)[1]))
+    evaluated, reused = map(int, re.findall(r"\d+", summary.rsplit(": ", 1)[1]))
     assert evaluated == len(seen)
     assert reused > evaluated // 2
-    assert samples > 0 and samples % _EDGE_SAMPLES == 0
 
 
 def test_shared_inner_edges_match_the_reference_in_both_orientations():
@@ -341,7 +339,7 @@ def test_shared_inner_edges_match_the_reference_in_both_orientations():
     _edge_integrals(cfg, [_edges(box)], memo)
     together = _edge_integrals(cfg, [_edges(child) for child in children], memo)
     assert memo.reused > 0
-    assert _windings(cfg, children) == [0, 0, 3, 3]
+    assert _windings(cfg, children, _SearchMemo()) == [0, 0, 3, 3]
     for child, got in zip(children, together):
         for (za, zb), value in zip(_edges(child), got):
             assert same_bits(edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []), value)
@@ -350,24 +348,22 @@ def test_shared_inner_edges_match_the_reference_in_both_orientations():
     assert _edges(children[0])[1] == _edges(children[1])[3][::-1]
 
 
-def test_admissible_children_match_single_box_calls():
-    # Gamma vanishes at a sample of the lower half of the vertical split
-    # line, so the two lower children are inadmissible and the upper two not
+def test_zero_on_a_split_line_is_found_by_the_quadrature():
+    # Gamma vanishes at a point of the lower half of the vertical split line,
+    # sample 32 of 64 equispaced points on it: the edge quadrature alone
+    # rejects the two lower children, and the nudged split and the search
+    # still find the zero
     box = Box(-1.0, 1.0, -20.0, -1.0)
     children = box.split(0.5, 0.5)
     za, zb = _edges(children[0])[1]
-    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    zero = (za + t * (zb - za))[32]
-    for cfg, expected in [
-        (one_center(float((1j * zero / FOUR_PI).real)), [False, False, True, True]),
-        (search_config(), [True, True, True, True]),
-    ]:
-        memo = _SearchMemo()
-        together = _admissible(cfg, children, memo)
-        assert together.tolist() == expected
-        assert [bool(_admissible(cfg, [child])[0]) for child in children] == expected
-        # 16 edges, 4 of them the reverse of another
-        assert memo.det_samples == 12 * _EDGE_SAMPLES
+    zero = (za + np.linspace(0.0, 1.0, 64) * (zb - za))[32]
+    cfg = one_center(float((1j * zero / FOUR_PI).real))
+    assert _windings(cfg, children, _SearchMemo()) == [None, None, 0, 0]
+    split = resonance._split_counted(cfg, box, 1, _SearchMemo())
+    assert sum(k for _, k in split) == 1
+    [root] = find_resonances(cfg, box).roots
+    assert abs(root.z - zero) <= 1e-12
+    assert root.multiplicity == 1
 
 
 def test_fallbacks_are_logged(caplog):
@@ -719,6 +715,11 @@ def test_box_validation():
         Box(1.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Box(-1.0, 1.0, 2.0, 1.0)
+    # a non-finite bound, and finite bounds whose extent overflows
+    for bounds in [(-1.0, np.inf, -20.0, -1.0), (-1.0, 1.0, -np.inf, -1.0),
+                   (-1e308, 1e308, -5.0, -0.2)]:
+        with pytest.raises(ValueError, match="finite"):
+            Box(*bounds)
 
 
 def test_sphere_points_weights_normalized():
