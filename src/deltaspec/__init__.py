@@ -25,7 +25,6 @@ from .spectral import (
     SpectralReport,
     ZeroClassification,
     classify_zero,
-    eigenfunction_eval,
     laurent_at_zero,
     negative_eigenvalues,
 )
@@ -37,13 +36,7 @@ from .resonance import (
     count_zeros_in_box,
     find_resonances,
 )
-from .resolvent import (
-    DomainFunction,
-    GaussianTestFunction,
-    boundary_condition_residual,
-    helmholtz_residual,
-    resolvent_kernel,
-)
+from .resolvent import helmholtz_residual, resolvent_kernel
 
 __all__ = [
     "__version__",
@@ -61,7 +54,6 @@ __all__ = [
     "ZeroClassification",
     "LaurentCoefficients",
     "negative_eigenvalues",
-    "eigenfunction_eval",
     "classify_zero",
     "laurent_at_zero",
     "Box",
@@ -70,9 +62,6 @@ __all__ = [
     "count_zeros_in_box",
     "find_resonances",
     "certify_real_axis",
-    "GaussianTestFunction",
-    "DomainFunction",
     "resolvent_kernel",
     "helmholtz_residual",
-    "boundary_condition_residual",
 ]

@@ -318,9 +318,10 @@ def _cmd_scan_det(args) -> dict:
     return {"axis": args.axis, "from": args.start, "to": args.stop, "step": args.step, "rows": rows}
 
 
-# A negative decimal number, with or without an exponent, alone or first in a
-# comma-separated tuple of such numbers (signed or not), as --z takes.
-_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+# A negative decimal number, with or without an exponent, or a negative inf or
+# nan in any case, alone or first in a comma-separated tuple of such numbers
+# (signed or not), as --z takes.
+_NUMBER = r"((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
 
 

@@ -6,17 +6,18 @@ zero count.  The trace form is used throughout because det Gamma is an
 exponential polynomial that overflows at large |Im z| while the logarithmic
 derivative stays tame.  The adaptive edge quadrature refines the edges of
 all boxes counted together breadth-first, one batched solve per refinement
-level; it builds the same panel tree and gives the same results, bit for
-bit, as the recursive rule applied one edge at a time.  Within one search
-each Gauss panel is evaluated once: a child's outer edge reuses the panels
-of its parent's edge, and the inner edge that two siblings share in opposite
-orientation reuses them reversed.  The quadrature alone decides whether a
-boundary is usable: a singular node, a panel still open at the depth limit
-or a winding not within 0.25 of an integer rejects the box.
+level, and accepts the same panels as the recursive rule applied one edge at
+a time.  Within one search each Gauss panel is evaluated once: a child's
+outer edge reuses the panels of its parent's edge, and the inner edge that
+two siblings share in opposite orientation reuses them reversed.  The
+quadrature alone decides whether a boundary is usable: a singular node, a
+panel still open at the depth limit or a count not within 0.25 of an integer
+rejects the box.
 
-Weighted by powers of z, the node values give the power sums of the zeros
-in a counted box; a Hankel eigenproblem turns them into the zeros (Delves &
-Lyness 1967), polished by Newton steps.  Unresolved boxes are quadrisected.
+Weighted by powers of z, the node values of the accepted panels give the
+power sums s_p of the zeros in a box: s_0 is the count, and a Hankel
+eigenproblem turns the rest into the zeros (Delves & Lyness 1967), polished
+by Newton steps.  Unresolved boxes are quadrisected.
 
 The certificate scans the positive real axis up to the analytic
 large-momentum bound, recording the smallest singular value of Gamma(z) at
@@ -242,8 +243,9 @@ def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo: _Sear
     vals = memo.node_values(cfg, a, b)
     half = 0.5 * (b - a)
     s = np.sum(_GL_W * vals, axis=1)
-    # half * s written out: numpy's vectorised complex multiply may fuse
-    # multiply-adds, and the values must match the scalar product exactly.
+    # half * s written out, like np.hypot in _accept_panels: numpy's SIMD
+    # complex kernels may round differently by platform, and the accepted
+    # panels, and so the golden roots, should not follow them.
     out = np.empty_like(s)
     out.real = half.real * s.real - half.imag * s.imag
     out.imag = half.real * s.imag + half.imag * s.real
@@ -252,21 +254,20 @@ def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo: _Sear
 
 def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[0], y[0], x[1], y[1], ..."""
+    # This panel order is the power sums' summation order: it sets the roots' last bits.
     return np.stack([x, y], axis=1).ravel()
 
 
-def _edge_integrals(cfg: PointConfig, contours, memo: _SearchMemo) -> list[np.ndarray | None]:
-    """Integrals of tr(Gamma^-1 Gamma') along every edge (za, zb) of each
-    contour; None for a contour whose quadrature failed.
+def _accept_panels(cfg: PointConfig, contours, memo: _SearchMemo) -> list[bool]:
+    """Refine the edges (za, zb) of each contour into accepted Gauss panels;
+    one flag per contour, False where its quadrature failed.
 
     The adaptive rule accepts a panel when the sum of its two halves agrees
     with the whole panel to within tol, and otherwise refines both halves with
     tol / 2, down to depth _MAX_EDGE_DEPTH.  Panels are refined breadth-first:
     each level evaluates the halves of every open panel of every contour in
-    one batch, and a half becomes its child's whole panel.  Accepted values
-    are summed back up the panel tree in depth-first order, so each integral
-    is bit for bit the one the recursive rule gives.  A singular node or a
-    panel still open at the depth limit fails only its own contour.  The
+    one batch, and a half becomes its child's whole panel.  A singular node or
+    a panel still open at the depth limit fails only its own contour.  The
     memo supplies every panel it has seen and keeps each contour's accepted halves.
     """
     owner = np.array([c for c, edges in enumerate(contours) for _ in edges], dtype=int)
@@ -275,7 +276,6 @@ def _edge_integrals(cfg: PointConfig, contours, memo: _SearchMemo) -> list[np.nd
     tol = np.full(a.size, _EDGE_TOL)
     failed = np.zeros(len(contours), dtype=bool)
     whole = None
-    levels = []  # per level: value of each panel, indices of the refined ones
     accepted = []  # per level: owner, start, midpoint and end of each accepted panel
     for depth in range(_MAX_EDGE_DEPTH + 1):
         mid = 0.5 * (a + b)
@@ -288,15 +288,12 @@ def _edge_integrals(cfg: PointConfig, contours, memo: _SearchMemo) -> list[np.nd
         if whole is None:
             whole = sums[0]
         left, right = sums[-2], sums[-1]
-        parts = left + right
-        diff = whole - parts
-        # np.hypot is the scalar abs(); numpy's vectorised complex abs can
-        # differ from it in the last bit.
-        open_ =~(np.hypot(diff.real, diff.imag) < tol)
+        diff = whole - (left + right)
+        # np.hypot, not the vectorised complex abs: see _panel_integrals
+        open_ = ~(np.hypot(diff.real, diff.imag) < tol)
         if depth == _MAX_EDGE_DEPTH:
             failed[owner[open_]] = True
         idx = np.flatnonzero(open_ & ~failed[owner])
-        levels.append((parts, idx))
         done = np.isin(np.arange(a.size), idx, invert=True)
         accepted.append((owner[done], a[done], mid[done], b[done]))
         if idx.size == 0:
@@ -305,20 +302,12 @@ def _edge_integrals(cfg: PointConfig, contours, memo: _SearchMemo) -> list[np.nd
         whole = _pairs(left[idx], right[idx])
         tol = np.repeat(0.5 * tol[idx], 2)
         owner = np.repeat(owner[idx], 2)
-    vals = levels[-1][0]
-    for parts, idx in reversed(levels[:-1]):
-        parts[idx] = vals[0::2] + vals[1::2]
-        vals = parts
     own, a, mid, b = (np.concatenate(parts) for parts in zip(*accepted))
     own, lo, hi = np.tile(own, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
-    out, start = [], 0
     for c, edges in enumerate(contours):
-        stop = start + len(edges)
-        out.append(None if failed[c] else vals[start:stop])
         if not failed[c]:
             memo.accepted[tuple(edges)] = (lo[own == c], hi[own == c])
-        start = stop
-    return out
+    return (~failed).tolist()
 
 
 def _edges(box: Box) -> list[tuple[complex, complex]]:
@@ -326,21 +315,24 @@ def _edges(box: Box) -> list[tuple[complex, complex]]:
     return [(cs[k], cs[(k + 1) % 4]) for k in range(4)]
 
 
+def _power_sums(box: Box, count: int, memo: _SearchMemo) -> np.ndarray:
+    """Power sums s_p = sum_j w_j^p, p < count, of the zeros w_j in a box whose
+    panels the memo accepted, w = (z - center) / (diameter / 2): the integrals
+    of w^p tr(Gamma^-1 Gamma') / 2 pi i over those panels.  s_0 is the count."""
+    a, b = memo.accepted[tuple(_edges(box))]
+    vals = np.array([memo.panels[key] for key in zip(a.tolist(), b.tolist())])
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    powers = ((nodes.ravel() - box.center) / (0.5 * box.diameter))[:, None] ** np.arange(count)
+    return (half[:, None] * _GL_W * vals).ravel() @ powers / (2j * np.pi)
+
+
 def _windings(cfg: PointConfig, boxes, memo: _SearchMemo) -> list[int | None]:
-    """Winding counts of the boxes; None where the edge quadrature failed or
-    the winding integral is not near an integer."""
-    counts = []
-    for edge_vals in _edge_integrals(cfg, [_edges(box) for box in boxes], memo):
-        if edge_vals is None:
-            counts.append(None)
-            continue
-        total = 0.0 + 0.0j
-        for v in edge_vals:
-            total += v
-        raw = (total / (2j * np.pi)).real
-        nearest = round(raw)
-        counts.append(None if abs(raw - nearest) > 0.25 else int(nearest))
-    return counts
+    """Zero counts s_0 of the boxes; None where the edge quadrature failed or
+    s_0 is not within 0.25 of an integer."""
+    oks = _accept_panels(cfg, [_edges(box) for box in boxes], memo)
+    raws = [_power_sums(box, 1, memo)[0].real if ok else None for box, ok in zip(boxes, oks)]
+    return [None if raw is None or abs(raw - round(raw)) > 0.25 else round(raw) for raw in raws]
 
 
 def _counted_box(cfg: PointConfig, box: Box, memo: _SearchMemo) -> tuple[Box, int]:
@@ -428,19 +420,12 @@ def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box
 
 def _moment_roots(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
     """(roots, None) for a counted box, or (None, reason) when unresolved.
-    The power sums s_p = sum_j w_j^p, p < 2 count, w = (z - center) /
-    (diameter / 2), are winding integrals of w^p tr(Gamma^-1 Gamma') over the
-    panels the count accepted.  The rank of H0 = [s_(i+j)] is the number of
-    distinct zeros, the pencil ([s_(i+j+1)], H0) reduced to it gives them, a
-    Vandermonde fit their multiplicities; Newton polishes each, and the roots
-    must stay in the box and apart."""
-    a, b = memo.accepted[tuple(_edges(box))]
-    vals = np.array([memo.panels[key] for key in zip(a.tolist(), b.tolist())])
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    The rank of H0 = [s_(i+j)], of the power sums s_p, p < 2 count, is the
+    number of distinct zeros, the pencil ([s_(i+j+1)], H0) reduced to it gives
+    them, a Vandermonde fit their multiplicities; Newton polishes each, and the
+    roots must stay in the box and apart."""
+    s = _power_sums(box, 2 * count, memo)
     center, scale = box.center, 0.5 * box.diameter
-    powers = ((nodes.ravel() - center) / scale)[:, None] ** np.arange(2 * count)
-    s = (half[:, None] * _GL_W * vals).ravel() @ powers / (2j * np.pi)
     ij = np.add.outer(np.arange(count), np.arange(count))
     u, sigma, vh = np.linalg.svd(s[ij])
     rank = np.count_nonzero(sigma > _RANK_GAP[1] * sigma[0])

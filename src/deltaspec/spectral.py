@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import (
-    FOUR_PI,
-    PointConfig,
-    SingularityError,
-    gamma_imag_axis,
-    gamma_stack,
-    row_sum_bound,
-)
+from .model import PointConfig, gamma_imag_axis, gamma_stack, row_sum_bound
 
 REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
@@ -45,7 +38,6 @@ __all__ = [
     "EigenvalueRecord",
     "SpectralReport",
     "negative_eigenvalues",
-    "eigenfunction_eval",
     "ZeroClassification",
     "classify_zero",
     "LaurentCoefficients",
@@ -168,16 +160,6 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         levels, ends.size + matrices, len(crossings), len(records),
     )
     return SpectralReport(eigenvalues=records)
-
-
-def eigenfunction_eval(cfg: PointConfig, lam: float, c, x) -> float:
-    """Value at x of sum_j c_j exp(-lam |x-y_j|) / (4 pi |x-y_j|)."""
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(cfg.points - x, axis=1)
-    if np.any(r == 0.0):
-        raise SingularityError("eigenfunction evaluated at an interaction center")
-    return float(np.sum(c * np.exp(-lam * r) / (FOUR_PI * r)))
 
 
 @dataclass(frozen=True)

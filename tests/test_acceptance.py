@@ -11,9 +11,7 @@ import numpy as np
 from conftest import random_config, two_center_config
 from deltaspec import (
     Box,
-    GaussianTestFunction,
     PointConfig,
-    boundary_condition_residual,
     certify_real_axis,
     classify_zero,
     count_zeros_in_box,
@@ -29,6 +27,7 @@ from deltaspec import (
 )
 from deltaspec.model import FOUR_PI
 from deltaspec.spectral import REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
+from domain import GaussianTestFunction, boundary_condition_residual
 from sphere import sphere_points
 from test_spectral import two_center_branch_roots
 

@@ -362,6 +362,11 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["resolvent", "one", "--z", "1,0", "--x", "nan,0,0", "--xp", "0,1,0"],
         ["resolvent", "one", "--z", "1,0", "--x", "1,0,0", "--xp", "0,inf,0"],
         ["resolvent", "one", "--z", "nan,0", "--x", "1,0,0", "--xp", "0,1,0"],
+        # signed inf and nan are values, not options
+        ["resonances", "one", "--box", "-inf", "1", "-20", "-1"],
+        ["resolvent", "one", "--z", "-1,nan", "--x", "1,0,0", "--xp", "0,1,0"],
+        ["scan-det", "one", "--axis", "real", "--from", "-nan", "--to", "1", "--step", "0.1"],
+        ["certify", "one", "--zmax", "-Infinity"],
     ],
 )
 @pytest.mark.filterwarnings("error")

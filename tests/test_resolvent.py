@@ -3,19 +3,21 @@ import pytest
 
 from conftest import random_config, two_center_config
 from deltaspec import (
-    DomainFunction,
-    GaussianTestFunction,
     PointConfig,
     SingularityError,
     SingularMatrixError,
-    boundary_condition_residual,
     green_kernel,
     helmholtz_residual,
     resolvent_kernel,
 )
 from deltaspec.model import FOUR_PI, gamma_stack
-from deltaspec.resolvent import radial_boundary_residual
 import deltaspec.resolvent as resolvent
+from domain import (
+    DomainFunction,
+    GaussianTestFunction,
+    boundary_condition_residual,
+    radial_boundary_residual,
+)
 
 ORIGIN = [0.0, 0.0, 0.0]
 

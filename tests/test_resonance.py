@@ -3,6 +3,7 @@ import logging
 import re
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from deltaspec.resonance import (
     RESONANCE,
     SubdivisionError,
     _SearchMemo,
-    _edge_integrals,
+    _accept_panels,
     _edges,
     _panel_integrals,
     _trace_logdet,
@@ -180,10 +181,11 @@ def test_find_residuals_are_recorded():
 # ---------------------------------------------------------------- edge quadrature
 
 
-def edge_quad_reference(cfg, za, zb, tol, depth, depths):
-    """The depth-first adaptive rule, one panel per solve: the reference the
-    batched quadrature must reproduce bit for bit.  Records every depth it
-    reaches in `depths`."""
+def edge_quad_reference(cfg, za, zb, tol, depth, depths, halves):
+    """The depth-first adaptive rule, one panel per solve: the reference whose
+    panels the batched quadrature must accept.  Records every depth it
+    reaches in `depths` and every half it accepts, as (start, end), in
+    `halves`."""
     depths.append(depth)
 
     def panel(a, b):
@@ -200,55 +202,74 @@ def edge_quad_reference(cfg, za, zb, tol, depth, depths):
     whole = panel(za, zb)
     parts = panel(za, mid) + panel(mid, zb)
     if abs(whole - parts) < tol:
+        halves.extend([(za, mid), (mid, zb)])
         return parts
     if depth >= _MAX_EDGE_DEPTH:
         raise SubdivisionError("edge quadrature exceeded maximum depth")
-    return edge_quad_reference(cfg, za, mid, 0.5 * tol, depth + 1, depths) + (
-        edge_quad_reference(cfg, mid, zb, 0.5 * tol, depth + 1, depths)
+    return edge_quad_reference(cfg, za, mid, 0.5 * tol, depth + 1, depths, halves) + (
+        edge_quad_reference(cfg, mid, zb, 0.5 * tol, depth + 1, depths, halves)
     )
+
+
+def reference_halves(cfg, edges, depths=None) -> Counter:
+    """The halves the recursive rule accepts on the edges, by exact endpoints."""
+    halves = []
+    for za, zb in edges:
+        edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, [] if depths is None else depths, halves)
+    return Counter(halves)
+
+
+def accepted_halves(memo, edges) -> Counter:
+    lo, hi = memo.accepted[tuple(edges)]
+    return Counter(zip(lo.tolist(), hi.tolist()))
 
 
 def same_bits(x, y) -> bool:
     return np.complex128(x).tobytes() == np.complex128(y).tobytes()
 
 
-def test_batched_edge_quadrature_is_bit_identical_on_search_box():
-    # every edge of the criterion-7 search box, integrated one edge at a time,
-    # one box at a time and with all boxes in one batch
+def test_batched_edge_quadrature_accepts_the_reference_panels_on_search_box():
+    # every edge of the criterion-7 search box, refined one edge at a time,
+    # one box at a time and with the box batched with its reverse
     rng = np.random.default_rng(777)
     box = Box(-5.0, 5.0, -5.0, -0.2)
     cfgs = [random_config(rng, int(rng.integers(2, 4)), radius=1.2, min_dist=0.5,
                           alpha_scale=2.0) for _ in range(2)]
     for cfg in cfgs:
         edges = _edges(box)
-        expected = [edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []) for za, zb in edges]
-        [together] = _edge_integrals(cfg, [edges], _SearchMemo())
-        singly = [_edge_integrals(cfg, [[edge]], _SearchMemo())[0][0] for edge in edges]
-        for want, got_together, got_singly in zip(expected, together, singly):
-            assert same_bits(want, got_together)
-            assert same_bits(want, got_singly)
-        batched = _edge_integrals(cfg, [edges, edges[::-1]], _SearchMemo())
-        assert all(same_bits(w, g) for w, g in zip(expected, batched[0]))
-        assert all(same_bits(w, g) for w, g in zip(expected[::-1], batched[1]))
+        for edge in edges:
+            memo = _SearchMemo()
+            assert _accept_panels(cfg, [[edge]], memo) == [True]
+            assert accepted_halves(memo, [edge]) == reference_halves(cfg, [edge])
+        expected = reference_halves(cfg, edges)
+        memo = _SearchMemo()
+        assert _accept_panels(cfg, [edges], memo) == [True]
+        assert accepted_halves(memo, edges) == expected
+        memo = _SearchMemo()
+        assert _accept_panels(cfg, [edges, edges[::-1]], memo) == [True, True]
+        assert accepted_halves(memo, edges) == expected
+        assert accepted_halves(memo, edges[::-1]) == expected
 
 
-def test_batched_edge_quadrature_is_bit_identical_near_a_zero():
+def test_batched_edge_quadrature_accepts_the_reference_panels_near_a_zero():
     # an edge passing 1e-5 below the zero -4 pi i refines deep; batch it with
     # the edges of a clean box so the panel levels mix shallow and deep panels
     cfg = one_center(1.0)
     y = -4.0 * np.pi - 1e-5
     edge = (complex(-1.0, y), complex(1.0, y))
     depths = []
-    expected = edge_quad_reference(cfg, *edge, _EDGE_TOL, 0, depths)
+    expected = reference_halves(cfg, [edge], depths)
     assert max(depths) >= 12
     clean_edges = _edges(Box(2.0, 3.0, -5.0, -1.0))
-    got, clean = _edge_integrals(cfg, [[edge], clean_edges], _SearchMemo())
-    assert same_bits(expected, got[0])
-    assert clean is not None
+    memo = _SearchMemo()
+    assert _accept_panels(cfg, [[edge], clean_edges], memo) == [True, True]
+    assert accepted_halves(memo, [edge]) == expected
+    assert accepted_halves(memo, clean_edges) == reference_halves(cfg, clean_edges)
     # an oblique edge, whose panel half-lengths have two non-zero parts
     oblique = (complex(-1.0, -4.0 * np.pi + 0.5), complex(1.5, -4.0 * np.pi - 0.25))
-    expected = edge_quad_reference(cfg, *oblique, _EDGE_TOL, 0, [])
-    assert same_bits(expected, _edge_integrals(cfg, [[oblique]], _SearchMemo())[0][0])
+    memo = _SearchMemo()
+    assert _accept_panels(cfg, [[oblique]], memo) == [True]
+    assert accepted_halves(memo, [oblique]) == reference_halves(cfg, [oblique])
 
 
 def test_failed_box_does_not_fail_its_batch():
@@ -325,24 +346,24 @@ def test_search_evaluates_each_panel_once(monkeypatch, caplog):
     assert reused > evaluated // 2
 
 
-def test_shared_inner_edges_match_the_reference_in_both_orientations():
+def test_shared_inner_edges_accept_the_reference_panels_in_both_orientations():
     # the children of a split, counted together after their parent, take
     # their outer edges from the parent's panels and each inner edge from a
-    # sibling's, reversed; every edge still matches the recursive rule.  The
-    # vertical split line of this box is Re z = 0, and for this config no
-    # zero sits on it (counts 0, 0, 3, 3).
+    # sibling's, reversed; every child still accepts the panels of the
+    # recursive rule.  The vertical split line of this box is Re z = 0, and
+    # for this config no zero sits on it (counts 0, 0, 3, 3).
     cfg = search_config(seed=3)
     box = Box(-5.0, 5.0, -5.0, -0.2)
     children = box.split(0.5, 0.5)
     assert children[0].re_max == 0.0
     memo = _SearchMemo()
-    _edge_integrals(cfg, [_edges(box)], memo)
-    together = _edge_integrals(cfg, [_edges(child) for child in children], memo)
+    _accept_panels(cfg, [_edges(box)], memo)
+    assert _accept_panels(cfg, [_edges(child) for child in children], memo) == [True] * 4
     assert memo.reused > 0
     assert _windings(cfg, children, _SearchMemo()) == [0, 0, 3, 3]
-    for child, got in zip(children, together):
-        for (za, zb), value in zip(_edges(child), got):
-            assert same_bits(edge_quad_reference(cfg, za, zb, _EDGE_TOL, 0, []), value)
+    for child in children:
+        edges = _edges(child)
+        assert accepted_halves(memo, edges) == reference_halves(cfg, edges)
     # the right edge of the lower-left child is the left edge of the
     # lower-right child, reversed
     assert _edges(children[0])[1] == _edges(children[1])[3][::-1]

@@ -10,13 +10,13 @@ from deltaspec import (
     PointConfig,
     SingularityError,
     classify_zero,
-    eigenfunction_eval,
     laurent_at_zero,
     negative_eigenvalues,
 )
 from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
 from deltaspec.spectral import MIXED, REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
 import deltaspec.spectral as spectral
+from domain import eigenfunction_eval
 from sphere import sphere_points
 
 ORIGIN = [0.0, 0.0, 0.0]
