@@ -19,7 +19,7 @@ from .model import (
     sinc,
     sinc_gram,
 )
-from .linalg import SingularMatrixError, null_space
+from .linalg import SingularMatrixError
 from .spectral import (
     LaurentCoefficients,
     SpectralReport,
@@ -49,7 +49,6 @@ __all__ = [
     "sinc",
     "sinc_gram",
     "SingularMatrixError",
-    "null_space",
     "SpectralReport",
     "ZeroClassification",
     "LaurentCoefficients",

@@ -13,37 +13,14 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, linalg, model, resonance, resolvent, spectral
+from . import __version__, model, resonance, resolvent, spectral
 from .model import ConfigError, PointConfig
 
-__all__ = ["RunManifest", "parse_config", "dispatch", "main"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility stamp embedded verbatim in every output."""
-
-    command: str
-    config_path: str
-    parameters: dict
-    tool_version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_path": self.config_path,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
+__all__ = ["parse_config", "dispatch", "main"]
 
 
 def _require_number(value, pointer: str) -> float:
@@ -402,15 +379,20 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-    manifest = RunManifest(
-        command=args.command, config_path=args.config, parameters=params
-    )
+    # Reproducibility stamp embedded verbatim in every output.
+    manifest = {
+        "command": args.command,
+        "config_path": args.config,
+        "parameters": params,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
     try:
         result = args.func(args)
-    except (ConfigError, ValueError, linalg.SingularMatrixError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # ConfigError, SingularMatrixError included
         print(f"deltaspec: error: {exc}", file=sys.stderr)
         return 1
-    payload = {"manifest": manifest.to_dict()}
+    payload = {"manifest": manifest}
     payload.update(result)
     _emit(payload, args.out)
     return 0

@@ -5,30 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SingularMatrixError
+from .linalg import inverse
 from .model import FOUR_PI, PointConfig, SingularityError, gamma_stack, green_kernel
-
-# Gamma is at a pole when sigma_min <= SIGMA_FLOOR * max(1, max|Gamma|).
-SIGMA_FLOOR = 1e-12
 
 __all__ = [
     "resolvent_kernel",
     "helmholtz_residual",
 ]
-
-
-def _gamma_inverse(cfg: PointConfig, z: complex) -> np.ndarray:
-    """Gamma(z)^-1; SingularMatrixError if sigma_min <= SIGMA_FLOOR * max(1, max|Gamma|).
-
-    Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= N and every LU pivot is
-    at least sigma_min / N: for N <= 100 a Gamma that passes has
-    sigma_min > SIGMA_FLOOR and no pivot below 1e-14 * max|Gamma|.
-    """
-    g = gamma_stack(cfg, z)
-    scale = max(1.0, float(np.abs(g).max()))
-    if np.linalg.svd(g, compute_uv=False)[-1] <= SIGMA_FLOOR * scale:
-        raise SingularMatrixError("spectral parameter is at or near a pole of the resolvent")
-    return np.linalg.inv(g)
 
 
 def _green_vector(cfg: PointConfig, z: complex, x: np.ndarray) -> np.ndarray:
@@ -57,7 +40,7 @@ def resolvent_kernel(cfg: PointConfig, z, x, xp) -> complex:
         raise ValueError("resolvent_kernel requires Im z >= 0")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    return _kernel(cfg, z, _gamma_inverse(cfg, z), x, xp)
+    return _kernel(cfg, z, inverse(gamma_stack(cfg, z)), x, xp)
 
 
 def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float | None = None) -> float:
@@ -82,7 +65,7 @@ def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float | None = None) -> fl
         raise ValueError("evaluation point is within 10 h of a singularity")
     if z.imag < 0.0:
         raise ValueError("helmholtz_residual requires Im z >= 0")
-    ginv = _gamma_inverse(cfg, z)
+    ginv = inverse(gamma_stack(cfg, z))
     center = _kernel(cfg, z, ginv, x, xp)
     acc = 0.0 + 0.0j
     for e in np.eye(3):

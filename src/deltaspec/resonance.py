@@ -293,8 +293,8 @@ def _accept_panels(cfg: PointConfig, contours, memo: _SearchMemo) -> list[bool]:
         open_ = ~(np.hypot(diff.real, diff.imag) < tol)
         if depth == _MAX_EDGE_DEPTH:
             failed[owner[open_]] = True
-        idx = np.flatnonzero(open_ & ~failed[owner])
-        done = np.isin(np.arange(a.size), idx, invert=True)
+        refine = open_ & ~failed[owner]
+        idx, done = np.flatnonzero(refine), ~refine
         accepted.append((owner[done], a[done], mid[done], b[done]))
         if idx.size == 0:
             break

@@ -29,7 +29,6 @@ MIXED = "Mixed"
 
 _LAURENT_MAX_NODES = 1024
 _LAURENT_STAB_ATOL = 1e-8
-_LAURENT_SIGMA_CUT = 1e-13
 
 logger = logging.getLogger(__name__)
 
@@ -109,9 +108,10 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     of its inertia jump, at its midpoint.  `tol` still governs the merging of
     near-degenerate crossings (merge radius tol*(1+lam); a merge of crossings
     from different brackets is logged at DEBUG, since a heuristic then sets
-    the multiplicity), the threshold below which a crossing belongs to z = 0,
-    and the kernel extraction.  One DEBUG line per call on
-    `deltaspec.spectral` gives the bisection levels, the matrices factored,
+    the multiplicity) and the threshold below which a crossing belongs to
+    z = 0.  A record of multiplicity m carries the m eigenvectors of one eigh
+    of Gamma(i*lam) with the smallest |eigenvalue|.  One DEBUG line per call
+    on `deltaspec.spectral` gives the bisection levels, the matrices factored,
     the crossings and the records.
     """
     if not (np.isfinite(tol) and tol > 0.0):
@@ -189,8 +189,11 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("classify_zero requires a finite tol > 0")
-    g0 = gamma_imag_axis(cfg, 0.0)
-    kernel = linalg.null_space(g0, tol)
+    # Gamma(0) is exactly symmetric, since cfg.distances is, so eigh, which
+    # reads one triangle, sees all of it.
+    values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, 0.0))
+    keep = np.flatnonzero(np.abs(values) <= tol * np.abs(values).max())
+    kernel = [vectors[:, int(k)].copy() for k in keep]
     kdim = len(kernel)
     if kdim == 0:
         return ZeroClassification(0, 0, False, REGULAR, [])
@@ -224,12 +227,10 @@ def _circle_nodes(radius: float, nodes: int) -> np.ndarray:
 
 
 def _circle_coefficients(cfg: PointConfig, zs: np.ndarray):
-    g = gamma_stack(cfg, zs)
-    sigma = np.linalg.svd(g, compute_uv=False)[..., -1]
-    scale = max(1.0, float(np.abs(g).max()))
-    if sigma.min() <= _LAURENT_SIGMA_CUT * scale:
+    try:
+        inv = linalg.inverse(gamma_stack(cfg, zs))
+    except linalg.SingularMatrixError:
         return None
-    inv = np.linalg.inv(g)
     a2 = (inv * (zs * zs)[:, None, None]).mean(axis=0)
     a1 = (inv * zs[:, None, None]).mean(axis=0)
     return a2, a1
@@ -243,9 +244,9 @@ def laurent_at_zero(
 
     Trapezoid sums on a circle are spectrally accurate for the periodic
     integrand; nodes are doubled until both coefficients move by less than
-    1e-8 absolute (error), and the radius is halved up to 6 times if the
-    circle grazes a singularity of the inverse.  Each halving is logged at
-    DEBUG on the `deltaspec.spectral` logger.
+    1e-8 absolute (error), and the radius is halved up to 6 times if Gamma
+    at a node is singular by the floor of linalg.inverse.  Each halving is
+    logged at DEBUG on the `deltaspec.spectral` logger.
     """
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("laurent_at_zero requires a finite radius > 0")

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deltaspec.model import FOUR_PI, PointConfig, SingularityError
-from deltaspec.resolvent import _gamma_inverse, _green_vector
+from deltaspec.linalg import inverse
+from deltaspec.model import FOUR_PI, PointConfig, SingularityError, gamma_stack
+from deltaspec.resolvent import _green_vector
 
 _AXIS_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -56,7 +57,7 @@ class DomainFunction:
         self.cfg = cfg
         self.z = z
         self.trial = trial
-        self.charges = _gamma_inverse(cfg, z) @ values
+        self.charges = inverse(gamma_stack(cfg, z)) @ values
 
     def __call__(self, x) -> complex:
         x = np.asarray(x, dtype=float)

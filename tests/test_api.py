@@ -1,6 +1,6 @@
 """The public surface: every name in an `__all__` resolves, and none is listed
 twice, in the package and in each of its modules; and the CLI starts without
-a second LAPACK binding."""
+a second LAPACK binding or a thread pool."""
 
 import importlib
 import os
@@ -28,9 +28,13 @@ def test_all_names_resolve_without_duplicates(name):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only LAPACK binding; importing scipy.linalg alone would
-    # cost every CLI invocation a few tenths of a second
+    # cost every CLI invocation a few tenths of a second.  concurrent.futures
+    # is imported only when a thread pool runs, for the same start-up cost.
     src = str(Path(deltaspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, deltaspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, deltaspec.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

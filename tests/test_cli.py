@@ -133,6 +133,16 @@ def test_laurent_resonant_single_center(tmp_path, capsys):
     assert doc["norm_A_minus2"] < 1e-8
 
 
+def test_laurent_node_near_a_pole_exits_zero(tmp_path, capsys):
+    # the zero of Gamma lies 5e-13 from a node of the default circle
+    path = write_config(tmp_path, [0.01 / FOUR_PI + 5e-13], [[0.0, 0.0, 0.0]])
+    code, out, err = run(capsys, "laurent", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["radius"] == 0.005
+    assert doc["norm_A_minus1"] < 1e-8
+
+
 def test_resonances_antibound_state(tmp_path, capsys):
     path = write_config(tmp_path, [1.0], [[0.0, 0.0, 0.0]])
     code, out, _ = run(

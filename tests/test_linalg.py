@@ -1,15 +1,16 @@
 """Oracle checks of the LAPACK conventions the library relies on, through
 numpy, its only binding: det by LU (root records and scan-det), solves (the
 edge quadrature), the symmetric eigensolver and the smallest singular
-value.  Also the outcome-typed test Cholesky, the resolvent's singular-Gamma
-rejection and null_space."""
+value.  Also the outcome-typed test Cholesky and the singular-Gamma floor of
+linalg.inverse, which the resolvent and the Laurent circle share."""
 
 import numpy as np
 import pytest
 
 from cholesky import NotPositiveDefinite, cholesky
 from conftest import random_config
-from deltaspec import PointConfig, SingularMatrixError, null_space, resolvent_kernel, sinc_gram
+from deltaspec import PointConfig, SingularMatrixError, resolvent_kernel, sinc_gram
+from deltaspec.linalg import SIGMA_FLOOR, inverse
 from deltaspec.model import FOUR_PI
 
 
@@ -155,16 +156,6 @@ def test_sym_eigen_closed_form_2x2():
     np.testing.assert_allclose(values, sorted([a - abs(b), a + abs(b)]))
 
 
-def test_sym_eigen_rejects_asymmetric():
-    # eigh reads one triangle only and would see the zero matrix here, with a
-    # two-dimensional kernel; null_space keeps asymmetric input off that path
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(np.linalg.eigh(m)[0], [0.0, 0.0])
-    vecs = null_space(m, 1e-10)
-    assert len(vecs) == 1
-    np.testing.assert_allclose(m @ vecs[0], 0.0, atol=1e-15)
-
-
 def test_sym_eigen_trace_and_orthogonality():
     rng = np.random.default_rng(25)
     for _ in range(50):
@@ -263,35 +254,20 @@ def test_min_singular_value_via_real_embedding():
     assert min_singular_value(m) == pytest.approx(np.sqrt(max(vals[0], 0.0)), abs=1e-10)
 
 
-# ---------------------------------------------------------------- null space
+# ---------------------------------------------------------------- inverse
 
 
-def test_null_space_invertible_is_empty():
-    assert null_space(np.eye(3), 1e-10) == []
-
-
-def test_null_space_rank_one_defect():
-    vecs = null_space(np.array([[1.0, -1.0], [-1.0, 1.0]]), 1e-10)
-    assert len(vecs) == 1
-    v = vecs[0]
-    np.testing.assert_allclose(np.abs(v), np.full(2, 1 / np.sqrt(2)), rtol=1e-12)
-    assert v[0] * v[1] > 0  # proportional to (1, 1)
-
-
-def test_null_space_zero_matrix_is_full():
-    assert len(null_space(np.zeros((3, 3)), 1e-10)) == 3
-
-
-def test_null_space_complex_matrix():
-    m = np.array([[1.0j, 1.0j], [1.0j, 1.0j]])
-    vecs = null_space(m, 1e-10)
-    assert len(vecs) == 1
-    np.testing.assert_allclose(m @ vecs[0], 0.0, atol=1e-14)
-
-
-def test_null_space_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        null_space(np.eye(2), 0.0)
+def test_inverse_rejects_a_stack_with_one_singular_matrix():
+    # the floor scales with max|g| over the whole stack: the third matrix, with
+    # sigma_min 1e-11, passes alone but not next to a matrix of size 100
+    assert SIGMA_FLOOR < 1e-11 <= SIGMA_FLOOR * 100.0
+    g = np.stack([np.eye(2), 100.0 * np.eye(2), np.diag([1.0, 1e-11])]).astype(complex)
+    np.testing.assert_array_equal(inverse(g[:2]), np.linalg.inv(g[:2]))
+    np.testing.assert_array_equal(inverse(g[2]), np.linalg.inv(g[2]))
+    with pytest.raises(SingularMatrixError, match="at or near a pole of the resolvent"):
+        inverse(g)
+    with pytest.raises(SingularMatrixError):
+        inverse(np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]])]))
 
 
 # ---------------------------------------------------------------- A - iB invertibility

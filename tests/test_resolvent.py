@@ -10,6 +10,7 @@ from deltaspec import (
     helmholtz_residual,
     resolvent_kernel,
 )
+from deltaspec.linalg import SIGMA_FLOOR
 from deltaspec.model import FOUR_PI, gamma_stack
 import deltaspec.resolvent as resolvent
 from domain import (
@@ -84,13 +85,13 @@ def test_kernel_rejects_pole_and_coincidence():
 
 def test_kernel_rejects_scaled_near_pole():
     # Gamma(z) = diag(~1.2e-12, 150): sigma_min is above 1e-12 but not above
-    # SIGMA_FLOOR * max|Gamma|, and the smallest LU pivot is below
+    # linalg.SIGMA_FLOOR * max|Gamma|, and the smallest LU pivot is below
     # 1e-14 * max|Gamma|; the floor scales with Gamma, so z counts as a pole
     cfg = PointConfig(alpha=[-100.0, 50.0], points=[ORIGIN, [1.0, 0.0, 0.0]])
     z = 1j * (400.0 * np.pi + 1.5e-11)
     g = gamma_stack(cfg, z)
     sigma_min = np.linalg.svd(g, compute_uv=False)[-1]
-    assert 1e-12 < sigma_min <= resolvent.SIGMA_FLOOR * np.abs(g).max()
+    assert 1e-12 < sigma_min <= SIGMA_FLOOR * np.abs(g).max()
     with pytest.raises(SingularMatrixError):
         resolvent_kernel(cfg, z, [0.5, 1.0, 0.0], [0.0, -1.0, 0.5])
 
@@ -148,8 +149,8 @@ def test_helmholtz_residual_inverts_gamma_once(monkeypatch):
         acc += resolvent_kernel(cfg, z, x - h * e, xp)
     expected = abs(-(acc - 6.0 * center) / (h * h) - z * z * center)
     calls = []
-    original = resolvent._gamma_inverse
-    monkeypatch.setattr(resolvent, "_gamma_inverse", lambda *a: calls.append(a) or original(*a))
+    original = resolvent.inverse
+    monkeypatch.setattr(resolvent, "inverse", lambda *a: calls.append(a) or original(*a))
     assert helmholtz_residual(cfg, z, x, xp, h=h) == expected
     assert len(calls) == 1
 

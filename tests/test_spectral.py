@@ -364,6 +364,33 @@ def test_classify_zero_two_center_eigenvalue():
     assert abs(v[0] + v[1]) < 1e-8
 
 
+def test_classify_zero_two_center_resonance():
+    # Gamma(0) = [[1, -1], [-1, 1]] / 4pi: one kernel vector, proportional to
+    # (1, 1), whose nonzero coefficient sum marks a resonance
+    cls = classify_zero(two_center_config(1.0 / FOUR_PI, 1.0))
+    assert cls.label == ZERO_RESONANCE
+    assert cls.kernel_dim == 1
+    assert cls.eigenvalue_multiplicity == 0
+    v = cls.kernel[0]
+    np.testing.assert_allclose(np.abs(v), np.full(2, 1 / np.sqrt(2)), rtol=1e-12)
+    assert v[0] * v[1] > 0
+
+
+def test_classify_zero_sees_an_exactly_symmetric_gamma():
+    # classify_zero takes the kernel from eigh, which reads one triangle only
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        g0 = gamma_imag_axis(random_config(rng, int(rng.integers(1, 9))), 0.0)
+        np.testing.assert_array_equal(g0, g0.T)
+
+
+def test_classify_zero_rejects_bad_tol():
+    cfg = PointConfig(alpha=[1.0], points=[ORIGIN])
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            classify_zero(cfg, tol=tol)
+
+
 def mixed_threshold_config():
     """Isosceles triangle (sides 1, 2, 2) with strengths tuned so that
     Gamma(0) kills both (1,-1,0) (zero sum: an eigenvalue direction) and
@@ -454,17 +481,20 @@ def test_laurent_consistency_with_classification():
 
 def test_laurent_radius_halving_is_logged(caplog):
     # det Gamma = alpha - iz/4pi vanishes at -0.01i, a node of the default
-    # 64-node circle of radius 0.01: the radius halves once, then converges
-    cfg = PointConfig(alpha=[0.01 / FOUR_PI], points=[ORIGIN])
-    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-        coeffs = laurent_at_zero(cfg)
-    assert caplog.messages == [
-        "halving Laurent radius 0.01: Gamma is near-singular at a node of the "
-        "64-node circle"
-    ]
-    assert coeffs.radius == 0.005
-    assert np.abs(coeffs.A_minus2).max() < 1e-8
-    assert np.abs(coeffs.A_minus1).max() < 1e-8
+    # 64-node circle of radius 0.01, or sigma_min = 5e-13 from it, below the
+    # floor of linalg.inverse: the radius halves once, then converges
+    for eps in (0.0, 5e-13):
+        caplog.clear()
+        cfg = PointConfig(alpha=[0.01 / FOUR_PI + eps], points=[ORIGIN])
+        with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+            coeffs = laurent_at_zero(cfg)
+        assert caplog.messages == [
+            "halving Laurent radius 0.01: Gamma is near-singular at a node of the "
+            "64-node circle"
+        ]
+        assert coeffs.radius == 0.005
+        assert np.abs(coeffs.A_minus2).max() < 1e-8
+        assert np.abs(coeffs.A_minus1).max() < 1e-8
 
 
 def test_laurent_input_validation():
