@@ -3,8 +3,9 @@
 Everything is driven by the explicit N x N characteristic matrix Gamma(z):
 its kernel on the positive imaginary axis gives the negative eigenvalues,
 its kernel at 0 classifies the threshold, its complex zeros are the
-resonances, and its non-singularity on the real axis is certified by a
-scan plus an analytic large-momentum bound.
+resonances, and its non-singularity on the real axis is proved by a
+Lipschitz bound on its smallest singular value plus an analytic
+large-momentum bound.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +17,6 @@ from .model import (
     gamma_pair_stack,
     gamma_stack,
     green_kernel,
-    sinc,
-    sinc_gram,
 )
 from .linalg import SingularMatrixError
 from .spectral import (
@@ -46,8 +45,6 @@ __all__ = [
     "green_kernel",
     "gamma_stack",
     "gamma_pair_stack",
-    "sinc",
-    "sinc_gram",
     "SingularMatrixError",
     "SpectralReport",
     "ZeroClassification",

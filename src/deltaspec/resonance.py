@@ -19,22 +19,20 @@ power sums s_p of the zeros in a box: s_0 is the count, and a Hankel
 eigenproblem turns the rest into the zeros (Delves & Lyness 1967), polished
 by Newton steps.  Unresolved boxes are quadrisected.
 
-The certificate scans the positive real axis up to the analytic
-large-momentum bound, recording the smallest singular value of Gamma(z) at
-every grid point; beyond the bound the row-sum estimate itself certifies
-invertibility.
+The certificate proves Gamma(k) invertible on the positive real axis: up
+to the analytic large-momentum bound by bisection on a Lipschitz bound of
+sigma_min(Gamma(k)), beyond it by the row-sum estimate itself.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .model import PointConfig
+from . import model, spectral
+from .model import FOUR_PI, PointConfig
 
 _JITTER = 1e-6
 _JITTER_RETRIES = 5
@@ -49,15 +47,8 @@ _NEWTON_MAX_STEPS = 50
 _RANK_GAP = (1e-11, 1e-7)
 _MULT_TOL = 1e-3
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# Certificate: z_star = row-sum bound + margin; passing sigma_min > threshold.
+# Certificate: z_star = row-sum bound + margin.
 CERTIFY_MARGIN = 1.0
-CERTIFY_SIGMA_THRESHOLD = 1e-10
-# Grid scans run in chunks of at most _CHUNK_POINTS points on _WORKERS threads.
-_CHUNK_POINTS = 2048
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:
-    _WORKERS = os.cpu_count() or 1
 
 logger = logging.getLogger(__name__)
 
@@ -511,97 +502,109 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
 
 @dataclass(frozen=True)
 class Certificate:
-    """Real-axis non-singularity evidence (absence of positive resonances):
-    grid scan of sigma_min(Gamma(z)) up to z_star, with the analytic row-sum
-    bound covering z > z_star.
-
-    The verdict is true when the grid reaches z_star and sigma_min exceeds
-    the threshold at every grid point.  A true verdict on the finite grid is
-    evidence, not proof, for z between grid points; a false verdict would be
-    loud news and is reported as-is.
-    """
+    """Proof that Gamma(k) is invertible for every real k >= k0: sigma_min at
+    the ascending nodes z_grid of a bisection of [k0, z_star], each interval
+    between neighbours proved by the Lipschitz bound of certify_real_axis,
+    and the row-sum bound above z_star.  The verdict is true when the nodes
+    reach z_star and no interval is `uncovered` (left unproved when its
+    midpoint rounded onto an end); (0, k0) is never proved.  `min_margin` is
+    the smallest margin of the final intervals, None without one."""
 
     z_grid: np.ndarray
     sigma_min: np.ndarray
     z_star: float
     verdict: bool
-    threshold: float
-    grid_step: float
+    k0: float
+    min_margin: float | None
+    uncovered: list[tuple[float, float]]
 
     @property
     def grid_covers_bound(self) -> bool:
-        return self.z_grid.size > 0 and float(self.z_grid[-1]) >= self.z_star
+        return float(self.z_grid[-1]) >= self.z_star
 
 
-def _map_chunks(fn, n: int) -> list:
-    """[fn(slice) for each chunk of range(n)], the chunks run on a thread pool.
+def _sigma_min(cfg: PointConfig, ks: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(model.gamma_stack(cfg, ks), compute_uv=False)[:, -1]
 
-    range(n) is cut into the fewest chunks of at most _CHUNK_POINTS points
-    whose count is a multiple of _WORKERS (at most n chunks), of sizes that
-    differ by at most one.  numpy's ufuncs and batched linalg release the GIL,
-    so the chunks run in parallel.  Results come back in chunk order; an
-    exception in any chunk cancels the chunks not yet started and propagates.
+
+def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certificate:
+    """Prove Gamma(k) invertible for every real k >= k0: by bisection on
+    [k0, top], top = z_max or z_star, and by the row-sum bound above z_star.
+
+    z_star = 4 pi max|alpha| + (N-1)/d_min + CERTIFY_MARGIN: above it the
+    diagonal -ik/4pi dominates every row.  Below it every entry of Gamma'(k)
+    has modulus 1/4pi, so ||Gamma'(k)||_2 <= ||Gamma'(k)||_F = N/4pi = L, and
+    by Weyl's inequality sigma_min(Gamma(k)) is L-Lipschitz.  An interval
+    between nodes k_i < k_j is proved when its margin
+    (sigma_i + sigma_j - 2 rho) / (L (k_j - k_i)) exceeds 1, rho bounding the
+    rounding of each computed sigma_min.  Each level evaluates the midpoints
+    of all intervals not yet proved with one batched SVD; an interval whose
+    midpoint rounds onto an end is uncovered.  The work grows like the
+    integral of L / sigma_min over [k0, top].
+
+    k0 = 0 when classify_zero says Regular.  Otherwise sigma_min vanishes at
+    0 (like c k for a zero resonance, c k^2 for a zero eigenvalue) and k0 is
+    1e-2 * min(1, d_min), the first point of the earlier fixed grid.
+
+    rho = 8 N eps R, R the largest row sum of |Gamma(top)|: R bounds
+    ||Gamma(k)||_2 for k <= top, |Gamma| being symmetric with only its
+    diagonal growing in k.  Assembly errs by a few ulps per entry plus
+    eps k/8pi <= eps |Gamma_jj| / 2 through the phase k d, at most
+    (3 + N/2) eps R in 2-norm for the exactly symmetric matrix; LAPACK's SVD
+    is exact for a matrix within p(N) eps R, p(N) of order N.  One DEBUG line
+    per call gives the levels, evaluations, smallest margin, k0 and
+    uncovered intervals.
     """
-    count = -(-n // _CHUNK_POINTS)
-    count = min(n, -(-count // _WORKERS) * _WORKERS)
-    slices = [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-    if len(slices) <= 1:
-        return [fn(sl) for sl in slices]
-    # Imported here: at module level it adds about 5 % to the CLI's start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=min(_WORKERS, len(slices)))
-    try:
-        return list(pool.map(fn, slices))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def certify_real_axis(
-    cfg: PointConfig,
-    grid_step: float | None = None,
-    z_max: float | None = None,
-) -> Certificate:
-    """Scan z in (0, z_star] and certify that Gamma(z) stays non-singular.
-
-    z_star = 4 pi max|alpha| + (N-1)/d_min + CERTIFY_MARGIN; above it the
-    diagonal -iz/4pi dominates (sigma_min >= z/4pi - row-sum bound > 0), so
-    only the grid below needs scanning.  Default grid step 1e-2 * min(1, d_min)
-    resolves the oscillation scale of exp(iz d_min); override for speed.
-
-    The grid runs in chunks of at most 2,048 points, one per task on a pool of
-    as many threads as the process may use CPUs, so at most that many chunks'
-    Gamma stacks (2,048 N x N complex matrices each) are held at once next to
-    the two result arrays.  Each point's sigma_min is one LAPACK SVD of its own
-    Gamma, so the certificate does not depend on the chunking or the number of
-    threads, bit for bit.
-    """
-    z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
-    if grid_step is None:
-        grid_step = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
-    if not (np.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError("certify_real_axis requires a finite grid_step > 0")
     if z_max is not None and not (np.isfinite(z_max) and z_max > 0.0):
         raise ValueError("certify_real_axis requires a finite z_max > 0")
-    top = z_max if z_max is not None else z_star
-    count = int(np.ceil(top / grid_step))
-    grid = grid_step * np.arange(1, count + 1)
+    z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
+    k0 = 0.0
+    if spectral.classify_zero(cfg).label != spectral.REGULAR:
+        k0 = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
+    top = max(z_star if z_max is None else z_max, k0)
+    lip = cfg.n / FOUR_PI
+    row_sum = float(np.abs(model.gamma_stack(cfg, top)).sum(axis=1).max())
+    rho = 8 * cfg.n * np.finfo(float).eps * row_sum
 
-    sigma = np.empty(grid.size)
+    ks = np.unique([k0, top])
+    sigma = _sigma_min(cfg, ks)
+    nodes, values = [ks], [sigma]
+    a, b, sa, sb = ks[:-1], ks[1:], sigma[:-1], sigma[1:]
+    margins, uncovered = [], []
+    while a.size:
+        margin = (sa + sb - 2.0 * rho) / (lip * (b - a))
+        mid = 0.5 * (a + b)
+        open_ = ~(margin > 1.0)
+        stuck = open_ & ((mid <= a) | (mid >= b))
+        margins.append(margin[~open_ | stuck])
+        uncovered += zip(a[stuck].tolist(), b[stuck].tolist())
+        idx = np.flatnonzero(open_ & ~stuck)
+        if idx.size == 0:
+            break
+        mid = mid[idx]
+        sm = _sigma_min(cfg, mid)
+        nodes.append(mid)
+        values.append(sm)
+        a, b = _pairs(a[idx], mid), _pairs(mid, b[idx])
+        sa, sb = _pairs(sa[idx], sm), _pairs(sm, sb[idx])
 
-    def scan(sl):
-        sigma[sl] = np.linalg.svd(model.gamma_stack(cfg, grid[sl]), compute_uv=False)[:, -1]
-
-    _map_chunks(scan, grid.size)
-    covers = grid.size > 0 and float(grid[-1]) >= z_star
-    verdict = bool(covers and np.all(sigma > CERTIFY_SIGMA_THRESHOLD))
-    grid.setflags(write=False)
+    order = np.argsort(np.concatenate(nodes))
+    ks, sigma = np.concatenate(nodes)[order], np.concatenate(values)[order]
+    margins = np.concatenate(margins)
+    min_margin = float(margins.min()) if margins.size else None
+    logger.debug(
+        "certificate from k0 = %g to %g: %d levels, %d evaluations, min margin %s, "
+        "uncovered %s",
+        k0, top, len(nodes) - 1, ks.size, min_margin, uncovered,
+    )
+    ks.setflags(write=False)
     sigma.setflags(write=False)
     return Certificate(
-        z_grid=grid,
+        z_grid=ks,
         sigma_min=sigma,
         z_star=z_star,
-        verdict=verdict,
-        threshold=CERTIFY_SIGMA_THRESHOLD,
-        grid_step=float(grid_step),
+        verdict=bool(ks[-1] >= z_star) and not uncovered,
+        k0=k0,
+        min_margin=min_margin,
+        uncovered=uncovered,
     )

@@ -1,6 +1,6 @@
 """Sphere averages and exponential sums behind the sinc-Gram lemma.
 
-The tests check the certificate's Gram matrix against its defining sphere
+The tests check the lemma's Gram matrix (tests/sinc.py) against its sphere
 integral, v.S(z)v = mean over |p| = 1 of |sum_j v_j exp(i z y_j . p)|^2,
 and the linear independence of the exponentials exp(i y_j . p) that makes
 S(z) positive definite.  No library path needs these helpers.

@@ -22,12 +22,11 @@ from deltaspec import (
     laurent_at_zero,
     negative_eigenvalues,
     resolvent_kernel,
-    sinc,
-    sinc_gram,
 )
 from deltaspec.model import FOUR_PI
 from deltaspec.spectral import REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
 from domain import GaussianTestFunction, boundary_condition_residual
+from sinc import sinc, sinc_gram
 from sphere import sphere_points
 from test_spectral import two_center_branch_roots
 
@@ -80,14 +79,17 @@ def test_criterion_3_real_axis_certificate():
             cfg = random_config(
                 rng, int(rng.integers(1, 9)), radius=5.0, min_dist=0.1, alpha_scale=5.0
             )
-            cert = certify_real_axis(cfg)  # default grid step 1e-2 * min(1, d_min)
-            assert cert.verdict
+            cert = certify_real_axis(cfg)
+            assert cert.verdict and cert.k0 == 0.0
             assert np.all(cert.sigma_min > 1e-10)
-            # the paper's lemma: the sinc Gram matrix is SPD on the same grid
-            # (in pieces, to keep the Gram stacks small)
-            for zs in np.array_split(cert.z_grid, cert.z_grid.size // 4096 + 1):
-                np.linalg.cholesky(sinc_gram(cfg, zs))
             assert cert.grid_covers_bound
+            # the paper's lemma: the sinc Gram matrix is SPD on the fixed grid
+            # of step 1e-2 * min(1, d_min) up to z_star (in pieces, to keep
+            # the Gram stacks small)
+            h = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
+            grid = h * np.arange(1, int(np.ceil(cert.z_star / h)) + 1)
+            for zs in np.array_split(grid, grid.size // 4096 + 1):
+                np.linalg.cholesky(sinc_gram(cfg, zs))
 
 
 def test_criterion_4_symmetric_minus_i_spd_invertible():

@@ -1,13 +1,15 @@
 import csv
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaspec import resonance
-from deltaspec.cli import _dumps, dispatch, parse_config
+from deltaspec import cli
+from deltaspec.cli import _pieces, dispatch, parse_config
 from deltaspec.model import ConfigError, FOUR_PI, gamma_stack
 
 
@@ -157,31 +159,39 @@ def test_resonances_antibound_state(tmp_path, capsys):
 
 
 def test_certify_with_csv(tmp_path, capsys):
+    # certify takes no grid and writes no CSV: its nodes are the bisection's,
+    # and a fixed-grid sigma_min scan is scan-det --axis real, whose CSV
+    # agrees with the certificate at a node
     path = write_config(tmp_path, [1.0, 1.0], [[0, 0, 0], [1.0, 0, 0]])
-    csv_path = tmp_path / "cert.csv"
-    code, out, _ = run(
-        capsys, "certify", path, "--zmax", "auto", "--grid", "0.05", "--csv", str(csv_path)
-    )
+    csv_path = tmp_path / "scan.csv"
+    for extra in (["--csv", str(csv_path)], ["--grid", "0.05"]):
+        code, out, err = run(capsys, "certify", path, *extra)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+    code, out, _ = run(capsys, "certify", path, "--zmax", "auto")
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] is True
+    assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] > 1.0
     assert doc["z_star"] == pytest.approx(FOUR_PI + 2.0)
+    assert len(doc["z_grid"]) == len(doc["sigma_min"]) == doc["num_grid_points"]
+    assert doc["z_grid"] == sorted(doc["z_grid"])
+    assert doc["min_sigma_min"] == min(doc["sigma_min"])
+    k, sigma = doc["z_grid"][1], doc["sigma_min"][1]
+    argv = ["--axis", "real", "--from", repr(k), "--to", repr(k), "--step", "1"]
+    assert run(capsys, "scan-det", path, *argv, "--csv", str(csv_path))[0] == 0
     with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["z", "sigma_min"]
-    assert len(rows) - 1 == doc["num_grid_points"]
-    zs = [float(r[0]) for r in rows[1:]]
-    assert zs == sorted(zs)
-    assert all(float(r[1]) > doc["threshold"] for r in rows[1:])
+        [header, row] = list(csv.reader(fh))
+    assert float(row[0]) == k
+    assert float(row[header.index("sigma_min")]) == pytest.approx(sigma, rel=1e-12)
 
 
 def test_certify_numeric_zmax(tmp_path, capsys):
     path = write_config(tmp_path, [0.5], [[0, 0, 0]])
-    code, out, _ = run(capsys, "certify", path, "--zmax", "2.0", "--grid", "0.1")
+    code, out, _ = run(capsys, "certify", path, "--zmax", "2.0")
     assert code == 0
     doc = json.loads(out)
+    assert doc["z_grid"][-1] == 2.0 and doc["min_margin"] > 1.0
     assert doc["grid_covers_bound"] is False
-    assert doc["verdict"] is False  # grid stops short of the analytic bound
+    assert doc["verdict"] is False  # the proof stops short of the analytic bound
 
 
 def test_resolvent_subcommand(tmp_path, capsys):
@@ -239,9 +249,22 @@ def test_scan_det_chunks_match_one_batch(tmp_path, capsys, monkeypatch):
     argv = ["scan-det", path, "--axis", "real", "--from", "0", "--to", "30", "--step", "0.01"]
     code, out, _ = run(capsys, *argv)
     rows = json.loads(out)["rows"]
-    assert code == 0 and len(rows) == 3001 > resonance._CHUNK_POINTS
-    monkeypatch.setattr(resonance, "_WORKERS", 1)
-    monkeypatch.setattr(resonance, "_CHUNK_POINTS", 10**9)
+    assert code == 0 and len(rows) == 3001 > cli._CHUNK_POINTS
+    # and on a pool of more threads than cores switching often, whose lost
+    # writes would show; every pool joins its threads
+    before = threading.active_count()
+    monkeypatch.setattr(cli, "_WORKERS", 8)
+    monkeypatch.setattr(cli, "_CHUNK_POINTS", 37)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, stressed, _ = run(capsys, *argv)
+    finally:
+        sys.setswitchinterval(interval)
+    assert json.loads(stressed)["rows"] == rows
+    assert threading.active_count() == before
+    monkeypatch.setattr(cli, "_WORKERS", 1)
+    monkeypatch.setattr(cli, "_CHUNK_POINTS", 10**9)
     _, single, _ = run(capsys, *argv)
     assert json.loads(single)["rows"] == rows
     zs = np.array([r["z"] for r in rows])
@@ -249,7 +272,29 @@ def test_scan_det_chunks_match_one_batch(tmp_path, capsys, monkeypatch):
     assert [r["abs_det"] for r in rows] == [float(abs(d)) for d in np.linalg.det(gs)]
 
 
+def test_scan_det_chunk_errors_propagate(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def broken(cfg, zs):
+        calls.append(zs.size)
+        raise FloatingPointError("chunk failed")
+
+    path = write_config(tmp_path, [0.5, 0.5], [[0, 0, 0], [1.3, 0, 0]])
+    monkeypatch.setattr(cli, "_WORKERS", 2)
+    monkeypatch.setattr(cli.model, "gamma_stack", broken)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        run(capsys, "scan-det", path, "--axis", "real", "--from", "0", "--to", "1",
+            "--step", "1e-4")
+    assert calls and threading.active_count() == before
+
+
 # ---------------------------------------------------------------- emitter
+
+
+def _dumps(obj) -> str:
+    return "".join(_pieces(obj))
+
 
 _numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -289,6 +334,10 @@ def test_dumps_fast_path_is_for_numbers_only():
            "d": {"x, y": 1.0, "z": 2}, "f": {"x": 1.0, "y": float("nan")}, "t": (1, 2.5)}
     assert _dumps(doc) == json.dumps(doc, indent=2)
     assert _dumps([]) == "[]" and _dumps({}) == "{}"
+    # an iterator is written as the list of its items
+    rows = {"rows": iter([{"z": 0.5, "abs_det": 1.0}, [2, 3.5], {}]), "none": iter([])}
+    listed = {"rows": [{"z": 0.5, "abs_det": 1.0}, [2, 3.5], {}], "none": []}
+    assert _dumps(rows) == json.dumps(listed, indent=2)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -319,7 +368,7 @@ MANIFEST_PARAMETERS = {
     "classify-zero": (["--tol", "1e-9"], ["tol"]),
     "laurent": ([], ["radius", "nodes"]),
     "resonances": (["--box", "-1", "1", "-2", "-1"], ["box", "tol"]),
-    "certify": (["--grid", "0.5", "--csv", "scan.csv"], ["zmax", "grid"]),
+    "certify": (["--zmax", "2"], ["zmax"]),
     "resolvent": (
         ["--z", "1,0.5", "--x", "1,0,0", "--xp", "0,1,0"],
         ["z", "x", "xp", "check_helmholtz"],
@@ -364,7 +413,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["resonances", "one", "--box", "-1", "inf", "-20", "-1"],
         ["certify", "one", "--zmax", "inf"],
         ["certify", "one", "--zmax", "nan"],
-        ["certify", "one", "--grid", "inf"],
+        ["certify", "two", "--zmax", "-nan"],
         ["scan-det", "one", "--axis", "real", "--from", "0", "--to", "inf", "--step", "0.1"],
         ["scan-det", "one", "--axis", "real", "--from", "nan", "--to", "1", "--step", "0.1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "nan"],

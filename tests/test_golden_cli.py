@@ -39,7 +39,7 @@ def _configs() -> dict:
         "n5.json": seeded(203, 5, radius=2.0, min_dist=0.3, alpha_scale=3.0),
         # as in test_certificate_large_n_gram_precision_exhaustion: many
         # centers, where the sinc Gram matrix near z = 0 is numerically
-        # indefinite while sigma_min(Gamma) stays far from the threshold
+        # indefinite while sigma_min(Gamma) stays far from zero
         "n40.json": seeded(5150, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
         # a second N=40 config; both certify jobs stop at --zmax 1, short of
         # z_star, so their verdict is false for lack of coverage
@@ -59,7 +59,7 @@ def _jobs() -> dict:
             f"{stem}-resonances": (
                 ["resonances", cfg, "--box", "-3", "3", "-3", "-0.2"], False
             ),
-            f"{stem}-certify": (["certify", cfg, "--grid", "0.05"], True),
+            f"{stem}-certify": (["certify", cfg], False),
             f"{stem}-resolvent": (
                 ["resolvent", cfg, "--z", "1.3,0.4", "--x", "2.5,0.3,-0.7",
                  "--xp=-1.9,2.2,0.4", "--check-helmholtz", "1e-3"],
@@ -78,7 +78,7 @@ def _jobs() -> dict:
         })
     for cfg in ("n40.json", "n40b.json"):
         jobs[f"{cfg.removesuffix('.json')}-certify"] = (
-            ["certify", cfg, "--zmax", "1", "--grid", "0.05"], True
+            ["certify", cfg, "--zmax", "1"], False
         )
     return jobs
 
@@ -195,7 +195,7 @@ def test_certify_changes_report():
     doc = json.loads(old)
     size = len(doc["z_grid"])
     assert certify_changes(old, old) == [f"max |dsigma_min| = 0 over {size} points"]
-    doc["sigma_min"][3] += 2.0 ** -40  # exact on a sigma_min below 2**12
+    doc["sigma_min"][1] += 2.0 ** -40  # exact on a sigma_min below 2**12
     doc["verdict"] = not doc["verdict"]
     doc["extra"] = doc.pop("min_sigma_min")
     assert certify_changes(old, json.dumps(doc).encode()) == [

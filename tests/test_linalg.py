@@ -9,9 +9,10 @@ import pytest
 
 from cholesky import NotPositiveDefinite, cholesky
 from conftest import random_config
-from deltaspec import PointConfig, SingularMatrixError, resolvent_kernel, sinc_gram
+from deltaspec import PointConfig, SingularMatrixError, resolvent_kernel
 from deltaspec.linalg import SIGMA_FLOOR, inverse
 from deltaspec.model import FOUR_PI
+from sinc import sinc_gram
 
 
 def min_singular_value(m) -> float:

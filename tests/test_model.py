@@ -11,10 +11,9 @@ from deltaspec import (
     gamma_pair_stack,
     gamma_stack,
     green_kernel,
-    sinc,
-    sinc_gram,
 )
 from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
+from sinc import sinc, sinc_gram
 from sphere import sphere_points
 
 ORIGIN = [0.0, 0.0, 0.0]

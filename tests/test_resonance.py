@@ -1,8 +1,5 @@
-import concurrent.futures
 import logging
 import re
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
@@ -15,7 +12,6 @@ from deltaspec import (
     certify_real_axis,
     count_zeros_in_box,
     find_resonances,
-    sinc_gram,
 )
 from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resonance import (
@@ -34,6 +30,7 @@ from deltaspec.resonance import (
     _windings,
 )
 import deltaspec.resonance as resonance
+from sinc import sinc_gram
 from sphere import (
     distinct_direction,
     exp_sum_on_sphere,
@@ -498,152 +495,151 @@ def test_tangent_zero_on_the_axis_falls_back(monkeypatch, caplog):
 # ---------------------------------------------------------------- certificate
 
 
+def rounding_term(cfg, cert) -> float:
+    """rho of certify_real_axis: 8 N eps times the largest row sum of |Gamma|
+    at the top node."""
+    row_sum = np.abs(gamma_stack(cfg, cert.z_grid[-1])).sum(axis=1).max()
+    return 8 * cfg.n * np.finfo(float).eps * row_sum
+
+
 def test_certificate_two_center_example():
     cfg = two_center_config(1.0, 1.0)
-    cert = certify_real_axis(cfg, grid_step=0.05)
+    cert = certify_real_axis(cfg)
     assert cert.z_star == pytest.approx(FOUR_PI + 2.0)
-    assert cert.verdict
+    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == []
     assert cert.grid_covers_bound
-    assert np.all(cert.sigma_min > cert.threshold)
-    np.linalg.cholesky(sinc_gram(cfg, cert.z_grid))  # the Gram matrix is SPD on the grid
+    assert cert.min_margin > 1.0
+    # the Gram matrix is SPD at the nodes
+    np.linalg.cholesky(sinc_gram(cfg, cert.z_grid[cert.z_grid > 0.0]))
 
 
 def test_certificate_single_center_closed_form():
     alpha = -0.7
     cfg = one_center(alpha)
-    cert = certify_real_axis(cfg, grid_step=0.1)
+    cert = certify_real_axis(cfg)
     assert cert.verdict
     expect = np.sqrt(alpha ** 2 + cert.z_grid ** 2 / (16 * np.pi ** 2))
     np.testing.assert_allclose(cert.sigma_min, expect, rtol=1e-12)
 
 
 def test_certificate_weyl_lower_bound():
-    # sigma_min(Gamma(z)) >= z/4pi - ||Lambda||_2 where Lambda collects alpha
-    # and the couplings; spot-check the perturbation bound along the grid
+    # sigma_min(Gamma(k)) is (N/4pi)-Lipschitz (Weyl): at random k between
+    # neighbouring nodes an independent SVD is at least the bound from either
+    # node, less the rounding term; at the nodes it is also at least
+    # k/4pi - ||Lambda||_2, Lambda collecting alpha and the couplings
     rng = np.random.default_rng(66)
-    cfg = random_config(rng, 4, radius=2.0, min_dist=0.5, alpha_scale=2.0)
-    cert = certify_real_axis(cfg, grid_step=0.25)
-    for z, sigma in zip(cert.z_grid[::40], cert.sigma_min[::40]):
-        g = gamma_stack(cfg, float(z))
-        lam = g + 1j * float(z) / FOUR_PI * np.eye(cfg.n)
-        bound = float(z) / FOUR_PI - np.linalg.norm(lam, ord=2)
-        assert sigma >= bound - 1e-12
+    for _ in range(8):
+        cfg = random_config(rng, int(rng.integers(2, 9)), radius=2.0, min_dist=0.3,
+                            alpha_scale=2.0)
+        cert = certify_real_axis(cfg)
+        assert cert.verdict
+        lip, rho = cfg.n / FOUR_PI, rounding_term(cfg, cert)
+        ks, sig = cert.z_grid, cert.sigma_min
+        i = rng.integers(0, ks.size - 1, size=500)
+        k = ks[i] + rng.uniform(0.0, 1.0, size=500) * (ks[i + 1] - ks[i])
+        got = np.linalg.svd(gamma_stack(cfg, k), compute_uv=False)[:, -1]
+        bound = np.maximum(sig[i] - lip * (k - ks[i]), sig[i + 1] - lip * (ks[i + 1] - k))
+        assert np.all(got >= bound - rho)
+        lam = gamma_stack(cfg, ks) + 1j * ks[:, None, None] / FOUR_PI * np.eye(cfg.n)
+        assert np.all(sig >= ks / FOUR_PI - np.linalg.norm(lam, ord=2, axis=(1, 2)) - 1e-12)
 
 
 def test_certificate_random_configs_all_pass():
     rng = np.random.default_rng(67)
     for _ in range(5):
         cfg = random_config(rng, int(rng.integers(1, 9)))
-        cert = certify_real_axis(cfg, grid_step=0.1)
-        assert cert.verdict
+        cert = certify_real_axis(cfg)
+        assert cert.verdict and cert.k0 == 0.0
 
 
 def test_certificate_gram_spd_implies_invertible():
     # wherever the sinc Gram matrix is SPD, A - iB is non-singular
     rng = np.random.default_rng(68)
     cfg = random_config(rng, 5)
-    cert = certify_real_axis(cfg, grid_step=0.2)
-    np.linalg.cholesky(sinc_gram(cfg, cert.z_grid))
+    cert = certify_real_axis(cfg)
+    np.linalg.cholesky(sinc_gram(cfg, cert.z_grid[cert.z_grid > 0.0]))
     assert np.all(cert.sigma_min > 0.0)
 
 
 def test_certificate_short_grid_fails_coverage():
     cfg = one_center(1.0)
-    cert = certify_real_axis(cfg, grid_step=0.1, z_max=1.0)
+    cert = certify_real_axis(cfg, z_max=1.0)
+    assert cert.z_grid[-1] == 1.0 and cert.min_margin > 1.0  # [0, 1] is proved
     assert not cert.grid_covers_bound
     assert not cert.verdict
+    for z_max in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="z_max > 0"):
+            certify_real_axis(cfg, z_max=z_max)
 
 
 def test_certificate_large_n_gram_precision_exhaustion():
-    # for many centers the sinc Gram matrix is numerically indefinite at the
-    # smallest grid points (its exact smallest eigenvalue scales like a high
-    # power of z), but Gamma itself stays far from singular: the verdict rests
-    # on sigma_min alone and is true on a grid that reaches z_star
+    # for many centers the sinc Gram matrix is numerically indefinite at
+    # small z (its exact smallest eigenvalue scales like a high power of z),
+    # but Gamma itself stays far from singular: the proof rests on
+    # sigma_min(Gamma) alone
     rng = np.random.default_rng(5150)
     cfg = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
-    cert = certify_real_axis(cfg, grid_step=0.05)
+    cert = certify_real_axis(cfg)
     assert cert.grid_covers_bound
     assert cert.sigma_min.min() > 1e-3
     assert cert.verdict
 
 
-def _single_chunk(monkeypatch, cfg, **grid):
-    with monkeypatch.context() as m:
-        m.setattr(resonance, "_WORKERS", 1)
-        m.setattr(resonance, "_CHUNK_POINTS", 10**9)
-        return certify_real_axis(cfg, **grid)
-
-
-@pytest.mark.parametrize("workers, chunk", [(None, None), (8, 37)])
-def test_certificate_does_not_depend_on_chunking(monkeypatch, workers, chunk):
-    # one chunk on one thread against the default pool, and against a pool of
-    # more threads than cores switching often, whose lost writes would show:
-    # an N=40 config on a fine grid near z = 0, and an N=8 default grid of
-    # many chunks
-    rng = np.random.default_rng(5163)
-    n40b = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
-    rng = np.random.default_rng(8)
-    n8 = random_config(rng, 8, radius=2.0, min_dist=0.3, alpha_scale=5.0)
-    cases = [(n40b, dict(grid_step=0.0005, z_max=0.2)), (n8, {})]
-    if workers is not None:
-        monkeypatch.setattr(resonance, "_WORKERS", workers)
-        monkeypatch.setattr(resonance, "_CHUNK_POINTS", chunk)
-    for cfg, grid in cases:
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5 if workers else interval)
-        try:
-            pooled = certify_real_axis(cfg, **grid)
-        finally:
-            sys.setswitchinterval(interval)
-        single = _single_chunk(monkeypatch, cfg, **grid)
-        for name in ("z_grid", "sigma_min"):
-            assert np.array_equal(getattr(pooled, name), getattr(single, name)), name
-        assert pooled.verdict == single.verdict
-    assert pooled.z_grid.size > 4 * resonance._CHUNK_POINTS  # N=8: over four chunks
-    assert pooled.verdict
-
-
-def test_certificate_pool_joins_its_threads():
-    rng = np.random.default_rng(8)
-    cfg = random_config(rng, 8, radius=5.0, min_dist=0.4, alpha_scale=5.0)
-    before = threading.active_count()
-    cert = certify_real_axis(cfg, grid_step=0.002)
-    assert cert.z_grid.size > 2 * resonance._CHUNK_POINTS
-    assert threading.active_count() == before
-
-
-def test_certificate_chunk_errors_propagate(monkeypatch):
-    calls = []
-
-    def broken(cfg, zs):
-        calls.append(zs.size)
-        raise FloatingPointError("chunk failed")
-
-    monkeypatch.setattr(resonance, "_WORKERS", 2)
-    monkeypatch.setattr(resonance.model, "gamma_stack", broken)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="chunk failed"):
-        certify_real_axis(two_center_config(0.5, 1.3), grid_step=1e-4)
-    assert calls and threading.active_count() == before
-
-
-def test_certificate_rejects_bad_step_before_any_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    for step in (0.0, -0.1):
-        with pytest.raises(ValueError, match="grid_step > 0"):
-            certify_real_axis(two_center_config(0.5, 1.3), grid_step=step)
-
-
 def test_certificate_grid_spans_interval():
+    # the nodes run from k0 to z_star, and the margins recomputed from them
+    # prove every interval between neighbours
     cfg = two_center_config(0.5, 1.3)
-    cert = certify_real_axis(cfg, grid_step=0.07)
-    assert cert.z_grid[0] == pytest.approx(0.07)
-    assert cert.z_grid[-1] >= cert.z_star
+    cert = certify_real_axis(cfg)
+    assert cert.z_grid[0] == cert.k0 == 0.0
+    assert cert.z_grid[-1] == cert.z_star
     steps = np.diff(cert.z_grid)
-    np.testing.assert_allclose(steps, 0.07, rtol=1e-9)
+    assert np.all(steps > 0.0)
+    rho = rounding_term(cfg, cert)
+    margin = (cert.sigma_min[:-1] + cert.sigma_min[1:] - 2 * rho) / (cfg.n / FOUR_PI * steps)
+    assert margin.min() == cert.min_margin > 1.0
+
+
+def test_certificate_zero_resonance_starts_at_k0(caplog):
+    # alpha = 0: sigma_min(Gamma(k)) = k/4pi vanishes at 0, so (0, k0) is left out
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        cert = certify_real_axis(one_center(0.0))
+    assert cert.k0 == cert.z_grid[0] == 1e-2
+    assert cert.verdict
+    [line] = [m for m in caplog.messages if m.startswith("certificate from k0 = 0.01 ")]
+    assert f"{cert.z_grid.size} evaluations" in line and line.endswith("uncovered []")
+
+
+@pytest.mark.parametrize("d, most", [(1.0, 400), (0.3, 4000)])
+def test_certificate_zero_eigenvalue_starts_at_k0(d, most):
+    # alpha = -1/(4pi d): Gamma(0) has the kernel (1, -1), a zero eigenvalue,
+    # and sigma_min grows like k^2 from 0
+    cfg = two_center_config(-1.0 / (FOUR_PI * d), d)
+    cert = certify_real_axis(cfg)
+    assert cert.k0 == cert.z_grid[0] == 1e-2 * min(1.0, d)
+    assert cert.verdict and cert.min_margin > 1.0
+    assert cert.z_grid.size <= most
+
+
+def test_certificate_reports_an_interval_it_cannot_prove(monkeypatch, caplog):
+    # a sigma_min that vanishes at c: the intervals near c, where it falls
+    # below the rounding term, halve until their midpoint rounds onto an end,
+    # and are reported uncovered
+    cfg = two_center_config(1.0, 1.0)
+    c, lip = 2.0 / 3.0, cfg.n / FOUR_PI
+    true_sigma = resonance._sigma_min
+
+    def dented(cfg, ks):
+        return np.minimum(true_sigma(cfg, ks), 0.5 * lip * np.abs(ks - c))
+
+    monkeypatch.setattr(resonance, "_sigma_min", dented)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        cert = certify_real_axis(cfg)
+    lo, hi = np.array(cert.uncovered).T
+    assert lo.size and np.all(hi == np.nextafter(lo, np.inf))
+    assert np.all(np.abs(lo - c) < 1e-12) and np.any((lo <= c) & (c <= hi))
+    assert not cert.verdict and cert.grid_covers_bound
+    assert cert.min_margin < 1.0
+    assert any(m.endswith(f"uncovered {cert.uncovered}") for m in caplog.messages)
 
 
 # ---------------------------------------------------------------- quadratic form
