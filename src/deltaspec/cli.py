@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -333,7 +334,10 @@ _NUMBER = r"((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))"
 _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged,
+    and every default it holds is immutable."""
     parser = argparse.ArgumentParser(
         prog="deltaspec",
         description="Spectral analysis of the 3D Laplacian with point interactions.",

@@ -6,10 +6,12 @@ lam (their lam-derivative is 1/4pi times the Gram matrix of exp(-lam|x|), a
 positive definite function), so every curve that starts negative crosses
 zero exactly once and the inertia, the number of negative eigenvalues, falls
 by one at each crossing.  The negative-eigenvalue solver bisects the inertia
-with all brackets in one batch per level.  The k-th curve is negative at a
-midpoint exactly when the inertia there exceeds k, so each bracket a
-per-curve bisection would keep is one of the brackets kept here, and the
-crossings are the same bit for bit.
+with all brackets in one batch per level until each bracket holds one
+crossing, then polishes those crossings by safeguarded Newton steps on their
+curves, again all in one batch per step.  The k-th curve is negative at a
+point exactly when the inertia there exceeds k, so counts and
+multiplicities still come from the inertia; the crossings agree with a
+per-curve bisection to within its final bracket width.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import PointConfig, gamma_imag_axis, gamma_stack, row_sum_bound
+from .model import FOUR_PI, PointConfig, gamma_imag_axis, gamma_stack, row_sum_bound
 
 REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
@@ -72,23 +74,26 @@ class SpectralReport:
 
 
 def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray):
-    """Brackets (lo, hi, inertia jump) of t >= 0 across which `counts`, the
-    number of negative eigenvalues of Gamma(it) on the grid ts, changes,
-    bisected to width 5e-14 * (1 + hi) (spectrum slicing; Barth, Martin &
-    Wilkinson 1967), which adjacent floats always meet.  Each level counts the
-    inertia at every midpoint with one batched eigvalsh and keeps each half
-    across which it changes.  Also returns the number of levels and of
+    """Brackets (lo, hi, inertia at hi, inertia jump) of t >= 0 across which
+    `counts`, the number of negative eigenvalues of Gamma(it) on the grid ts,
+    changes (spectrum slicing; Barth, Martin & Wilkinson 1967).  Each level
+    counts the inertia at every midpoint with one batched eigvalsh and keeps
+    each half across which it changes.  A bracket leaves as soon as its jump
+    is 1, one crossing for Newton to polish, or its width is at most
+    5e-14 * (1 + hi), which adjacent floats always meet: a jump of 2 or more
+    there is a multiple crossing.  Also returns the number of levels and of
     midpoint matrices factored."""
     k = np.flatnonzero(counts[1:] != counts[:-1])
     lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
     final, levels, matrices = [], 0, 0
     while True:
-        mid = 0.5 * (lo + hi)
-        stop = hi - lo <= 5e-14 * (1.0 + hi)
-        final.append((lo[stop], hi[stop], np.abs(n_hi - n_lo)[stop]))
-        lo, hi, n_lo, n_hi, mid = lo[~stop], hi[~stop], n_lo[~stop], n_hi[~stop], mid[~stop]
+        jump = np.abs(n_hi - n_lo)
+        stop = (jump == 1) | (hi - lo <= 5e-14 * (1.0 + hi))
+        final.append((lo[stop], hi[stop], n_hi[stop], jump[stop]))
+        lo, hi, n_lo, n_hi = lo[~stop], hi[~stop], n_lo[~stop], n_hi[~stop]
         if not lo.size:
             break
+        mid = 0.5 * (lo + hi)
         n_mid = np.count_nonzero(np.linalg.eigvalsh(gamma_imag_axis(cfg, mid)) < 0.0, axis=-1)
         levels, matrices = levels + 1, matrices + mid.size
         left, right = n_mid != n_lo, n_mid != n_hi
@@ -98,21 +103,60 @@ def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray):
     return (*(np.concatenate(parts) for parts in zip(*final)), levels, matrices)
 
 
+def _newton_crossings(cfg: PointConfig, lo: np.ndarray, hi: np.ndarray, k: np.ndarray):
+    """The zero of the k-th ordered eigenvalue curve mu(t) of Gamma(it) in
+    each bracket (lo, hi) holding one crossing, by safeguarded Newton steps
+    (rtsafe; Press et al., Numerical Recipes, 9.4) from the midpoints.
+
+    Each step takes one batched eigh at every point x still open.  mu(x)
+    < 0 exactly when the inertia at x exceeds k, so x replaces lo or hi and
+    the bracket keeps the crossing.  The slope is v^T G' v > 0, with v the
+    eigenvector of mu(x) and G' = exp(-x d)/4pi the t-derivative of
+    Gamma(it).  A step that leaves [lo, hi], is not finite, or is more than
+    half the previous one (the bracket width, at first) is replaced by
+    bisection.  A point stops when its step or its bracket is at most
+    5e-14 * (1 + x).  Returns the crossings, the number of steps and of
+    matrices factored."""
+    x, prev = 0.5 * (lo + hi), hi - lo
+    done, steps, matrices = [], 0, 0
+    while x.size:
+        values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, x))
+        steps, matrices = steps + 1, matrices + x.size
+        rows = np.arange(x.size)
+        mu, v = values[rows, k], vectors[rows, :, k]
+        below = mu < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        grad = np.exp(-x[:, None, None] * cfg.distances) / FOUR_PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - mu / np.einsum("bi,bij,bj->b", v, grad, v)
+        newton = (lo <= new) & (new <= hi) & (np.abs(new - x) <= 0.5 * prev)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        step = np.abs(new - x)
+        width = 5e-14 * (1.0 + new)
+        stop = (step <= width) | (hi - lo <= width)
+        done.append(new[stop])
+        x, lo, hi, k, prev = new[~stop], lo[~stop], hi[~stop], k[~stop], step[~stop]
+    return np.concatenate(done or [x]), steps, matrices
+
+
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
     """Locate all negative eigenvalues -lam**2 (lam > 0) with multiplicities.
 
     The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi], where
     lam_hi is the Gershgorin bound past which the matrix is positive
-    definite, is bisected with all brackets in one batch per level, each to
-    width 5e-14 * (1 + lam).  Every final bracket gives one crossing per unit
-    of its inertia jump, at its midpoint.  `tol` still governs the merging of
-    near-degenerate crossings (merge radius tol*(1+lam); a merge of crossings
-    from different brackets is logged at DEBUG, since a heuristic then sets
-    the multiplicity) and the threshold below which a crossing belongs to
-    z = 0.  A record of multiplicity m carries the m eigenvectors of one eigh
-    of Gamma(i*lam) with the smallest |eigenvalue|.  One DEBUG line per call
-    on `deltaspec.spectral` gives the bisection levels, the matrices factored,
-    the crossings and the records.
+    definite, is bisected with all brackets in one batch per level until
+    each bracket holds one crossing; safeguarded Newton steps on the
+    crossing's eigenvalue curve, all brackets again in one batch, then take
+    it to within 5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2
+    at width 5e-14 * (1 + lam) gives m crossings at its midpoint.  `tol`
+    still governs the merging of near-degenerate crossings (merge radius
+    tol*(1+lam); a merge of crossings from different brackets is logged at
+    DEBUG, since a heuristic then sets the multiplicity) and the threshold
+    below which a crossing belongs to z = 0.  A record of multiplicity m
+    carries the m eigenvectors of one eigh of Gamma(i*lam) with the smallest
+    |eigenvalue|.  One DEBUG line per call on `deltaspec.spectral` gives the
+    bisection levels, the Newton steps, the matrices factored by both, the
+    crossings and the records.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("negative_eigenvalues requires a finite tol > 0")
@@ -121,12 +165,15 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
     if mu[1, 0] <= 0.0:
         raise ConvergenceError("upper bisection bracket is not positive definite")
-    lo, hi, jumps, levels, matrices = _inertia_brackets(
+    lo, hi, n_hi, jumps, levels, matrices = _inertia_brackets(
         cfg, ends, np.count_nonzero(mu < 0.0, axis=-1)
     )
+    one = jumps == 1
+    polished, steps, factored = _newton_crossings(cfg, lo[one], hi[one], n_hi[one])
+    multiple = np.repeat(0.5 * (lo + hi)[~one], jumps[~one])
 
     # Crossings at lam <= tol belong to the threshold, not the spectrum.
-    crossings = sorted(lam for lam in np.repeat(0.5 * (lo + hi), jumps).tolist() if lam > tol)
+    crossings = sorted(lam for lam in np.concatenate([polished, multiple]).tolist() if lam > tol)
 
     records = []
     i = 0
@@ -156,8 +203,9 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         )
         i = j
     logger.debug(
-        "spectrum: %d bisection levels, %d matrices factored, %d crossings, %d records",
-        levels, ends.size + matrices, len(crossings), len(records),
+        "spectrum: %d bisection levels, %d Newton steps, %d matrices factored, "
+        "%d crossings, %d records",
+        levels, steps, ends.size + matrices + factored, len(crossings), len(records),
     )
     return SpectralReport(eigenvalues=records)
 

@@ -1,8 +1,9 @@
 """The public surface: every name in an `__all__` resolves, and none is listed
 twice, in the package and in each of its modules; and the CLI starts without
-a second LAPACK binding or a thread pool."""
+a second LAPACK binding, a thread pool or any other new module."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -26,15 +27,35 @@ def test_all_names_resolve_without_duplicates(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+# The top-level modules that `import deltaspec.cli` adds to a bare interpreter
+# (Python 3.11, numpy 2.4).  A module outside this set is new start-up cost
+# for every CLI invocation.
+CLI_IMPORTS = {
+    "__future__", "_ast", "_compat_pickle", "_contextvars", "_csv", "_ctypes",
+    "_datetime", "_json", "_opcode", "_pickle", "_string", "argparse", "ast",
+    "contextvars", "copy", "csv", "ctypes", "dataclasses", "datetime",
+    "deltaspec", "dis", "gettext", "inspect", "json", "linecache", "logging",
+    "numbers", "numpy", "opcode", "pickle", "platform", "string", "textwrap",
+    "token", "tokenize", "traceback",
+}
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only LAPACK binding; importing scipy.linalg alone would
     # cost every CLI invocation a few tenths of a second.  concurrent.futures
     # is imported only when a thread pool runs, for the same start-up cost.
+    # Nor does the import load any top-level module beyond CLI_IMPORTS.
     src = str(Path(deltaspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, deltaspec.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+        "import json, sys\n"
+        "def tops(): return {m.split('.')[0] for m in sys.modules}\n"
+        "bare = tops()\n"
+        "import deltaspec.cli\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('concurrent.futures')), sorted(tops() - bare)]))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    heavy, added = json.loads(out.stdout)
+    assert heavy == []
+    assert sorted(set(added) - CLI_IMPORTS) == []

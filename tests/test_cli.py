@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 import threading
 
@@ -489,6 +490,35 @@ def test_negative_tuple_parses_as_a_value(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "no-such-command", "cfg.json")[0] == 2
     assert run(capsys)[0] == 2
+
+
+def test_shared_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # dispatch builds its parser once per process: --help, a usage error and
+    # two subcommands, run in turn, give the exit codes and bytes (timestamp
+    # aside) that a parser built for each call gives
+    path = write_config(tmp_path, [-1.0, -0.5], [[0, 0, 0], [1, 0, 0]])
+    calls = [
+        ["--help"],
+        ["spectrum", path, "--tol"],
+        ["spectrum", path],
+        ["classify-zero", path, "--tol", "1e-9"],
+        ["spectrum", "--help"],
+        ["spectrum", path],
+        ["--help"],
+    ]
+
+    def outputs():
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        return [
+            (code, stamp.sub("", out), err)
+            for code, out, err in (run(capsys, *argv) for argv in calls)
+        ]
+
+    shared = outputs()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0]
 
 
 def test_duplicate_points_reported_with_indices(tmp_path, capsys):

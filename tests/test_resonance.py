@@ -410,7 +410,7 @@ def summary_line(messages) -> str:
 
 
 @pytest.mark.parametrize("seed", [777, 3, 20, 22])
-def test_mirror_path_pairs_roots_exactly(seed, caplog):
+def test_moment_step_finds_mirror_pairs_without_quadrisection(seed, caplog):
     # Gamma(-conj z) = conj Gamma(z): on a box symmetric about Re z = 0 each
     # root's mirror -conj z is a root of the same multiplicity and kind,
     # found by the one search of the whole box without a quadrisection
@@ -427,7 +427,7 @@ def test_mirror_path_pairs_roots_exactly(seed, caplog):
         assert partner.multiplicity == r.multiplicity and partner.kind == r.kind
 
 
-def test_mirror_path_finds_axis_roots():
+def test_moment_step_finds_imaginary_axis_roots():
     # 3 mirror pairs and 2 zeros on the imaginary axis for this config; at
     # each axis zero one eigenvalue of the real symmetric Gamma(it) vanishes
     cfg = search_config(20)
@@ -440,7 +440,7 @@ def test_mirror_path_finds_axis_roots():
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.7])
-def test_mirror_path_single_center_oracle(alpha, caplog):
+def test_moment_step_single_center_oracle(alpha, caplog):
     # the box's midpoint split line runs through the zero, but the moment
     # step resolves the box without splitting it
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):

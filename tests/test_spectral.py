@@ -1,3 +1,4 @@
+import functools
 import logging
 import re
 
@@ -209,18 +210,35 @@ def reference_configs():
     return configs
 
 
+@functools.cache
+def reference_case(index):
+    cfg = reference_configs()[index]
+    return per_curve_reference(cfg), negative_eigenvalues(cfg).eigenvalues
+
+
 @pytest.mark.parametrize("index", range(len(reference_configs())))
 def test_inertia_bisection_matches_per_curve_reference_exactly(index):
-    cfg = reference_configs()[index]
-    expect = per_curve_reference(cfg)
-    got = negative_eigenvalues(cfg).eigenvalues
+    # the inertia alone sets the counts and multiplicities, so they agree
+    # exactly with the per-curve bisection's
+    expect, got = reference_case(index)
     assert len(got) == len(expect)
     for rec, (lam, energy, mult, coeffs) in zip(got, expect):
-        assert rec.lam == lam
-        assert rec.energy == energy
         assert rec.multiplicity == mult
         assert len(rec.coefficients) == len(coeffs)
-        assert all(np.array_equal(c, e) for c, e in zip(rec.coefficients, coeffs))
+
+
+@pytest.mark.parametrize("index", range(len(reference_configs())))
+def test_newton_crossings_match_per_curve_reference_within_its_bracket_width(index):
+    # the per-curve bisection stops at width 5e-14 * (1 + lam); Newton's
+    # crossings lie within that of its midpoints, and a simple record's
+    # eigenvector is the reference's up to sign
+    expect, got = reference_case(index)
+    assert len(got) == len(expect)
+    for rec, (lam, energy, mult, coeffs) in zip(got, expect):
+        assert abs(rec.lam - lam) <= 5e-14 * (1.0 + lam)
+        assert rec.energy == -rec.lam * rec.lam
+        if mult == 1:
+            assert abs(rec.coefficients[0] @ coeffs[0]) >= 1.0 - 1e-10
 
 
 def test_clustered_reference_config_has_three_quarters_bound_states():
@@ -229,31 +247,85 @@ def test_clustered_reference_config_has_three_quarters_bound_states():
     assert negative_eigenvalues(cfg).total_multiplicity == 36
 
 
-def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
-    cfg = clustered_config(32, 32)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+_SUMMARY = re.compile(
+    r"spectrum: (\d+) bisection levels, (\d+) Newton steps, (\d+) matrices factored, "
+    r"(\d+) crossings, (\d+) records"
+)
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a)[:-2])
-        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+def counted_spectrum(monkeypatch, caplog, cfg):
+    """negative_eigenvalues(cfg) with the batch shapes of every eigvalsh and
+    eigh call it made, and the numbers of its DEBUG summary line."""
+    calls = {"eigvalsh": [], "eigh": []}
+    for name, shapes in calls.items():
+        def counted(a, *args, _solver=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a)[:-2])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
         report = negative_eigenvalues(cfg)
+    summary = tuple(map(int, _SUMMARY.fullmatch(caplog.messages[-1]).groups()))
+    return report, calls, summary
+
+
+def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    levels, steps, matrices, crossings, records = summary
     assert report.total_multiplicity == 24
     # the per-curve bisection made about 24 * 45 calls, one matrix each
-    assert len(calls) <= 64
-    levels, matrices, crossings, records = map(
-        int, re.fullmatch(
-            r"spectrum: (\d+) bisection levels, (\d+) matrices factored, "
-            r"(\d+) crossings, (\d+) records",
-            caplog.messages[-1],
-        ).groups()
-    )
-    assert len(calls) == levels + 1
-    assert matrices == sum(int(np.prod(shape)) for shape in calls)
+    assert len(calls["eigvalsh"]) <= 64
+    # one eigvalsh for the two ends and one per bisection level; one eigh per
+    # Newton step and one per record
+    assert len(calls["eigvalsh"]) == levels + 1
+    assert len(calls["eigh"]) == steps + records
+    newton = calls["eigh"][: len(calls["eigh"]) - records]
+    assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + newton)
     assert (crossings, records) == (24, len(report.eigenvalues))
+
+
+def test_clustered_spectrum_factors_at_most_200_matrices(monkeypatch, caplog):
+    # bisecting the inertia to full width took 1,023 matrices here: 999
+    # eigvalsh and 24 eigh for the records
+    report, calls, _ = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    assert report.total_multiplicity == 24
+    assert sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["eigh"]) <= 200
+
+
+def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
+    # two centers 1 apart with a = 1/4pi - 1e-3: only the symmetric curve
+    # f(t) = a + t/4pi - exp(-t)/4pi crosses, near t = 0.0063, so the first
+    # bracket is the whole (0, lam_hi).  f is concave, and the Newton step
+    # from the midpoint lands below 0: the safeguard bisects instead, and
+    # keeps bisecting until Newton's steps halve
+    a = 1.0 / FOUR_PI - 1e-3
+    cfg = two_center_config(a, 1.0)
+    points = []
+    assemble = spectral.gamma_imag_axis
+
+    def spy(cfg, ts):
+        points.append(np.asarray(ts).tolist())
+        return assemble(cfg, ts)
+
+    monkeypatch.setattr(spectral, "gamma_imag_axis", spy)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
+        report = negative_eigenvalues(cfg)
+    f = lambda t: a + t / FOUR_PI - np.exp(-t) / FOUR_PI
+    lam_hi = row_sum_bound(cfg) + 1.0
+    assert points[0] == [0.0, lam_hi]  # the ends; the inertia drops by 1
+    x = lam_hi / 2.0
+    assert points[1] == [x]
+    assert x - f(x) * FOUR_PI / (1.0 + np.exp(-x)) < 0.0
+    # seven bisections to (0, x / 2**7), then Newton from there; the last
+    # point is the record's
+    assert points[2:9] == [[x / 2.0 ** j] for j in range(1, 8)]
+    assert len(points) == 13
+    assert caplog.messages == [
+        "spectrum: 0 bisection levels, 11 Newton steps, 13 matrices factored, "
+        "1 crossings, 1 records"
+    ]
+    (rec,) = report.eigenvalues
+    assert abs(rec.lam - two_center_branch_roots(a, 1.0)[0]) <= 5e-14 * (1.0 + rec.lam)
 
 
 def test_inertia_bisection_stops_at_adjacent_floats():
@@ -263,8 +335,10 @@ def test_inertia_bisection_stops_at_adjacent_floats():
     cfg = two_center_config(-1.0, 1.0)
     t = 2.0 ** 45
     ts = np.array([t, np.nextafter(t, np.inf)])
-    lo, hi, jumps, levels, matrices = spectral._inertia_brackets(cfg, ts, np.array([2, 0]))
-    assert (lo.tolist(), hi.tolist(), jumps.tolist()) == ([ts[0]], [ts[1]], [2])
+    lo, hi, n_hi, jumps, levels, matrices = spectral._inertia_brackets(
+        cfg, ts, np.array([2, 0])
+    )
+    assert (lo.tolist(), hi.tolist(), n_hi.tolist(), jumps.tolist()) == ([ts[0]], [ts[1]], [0], [2])
     assert (levels, matrices) == (0, 0)
 
 
@@ -279,8 +353,10 @@ def test_spectrum_logs_merges_across_brackets(caplog):
     assert caplog.messages == [
         f"merging 2 crossings from 2 brackets into lam {lam!r}: the merge radius "
         "tol*(1+lam), not an inertia jump, sets the multiplicity",
-        # 45 levels; the crossings share a bracket for all but the last six
-        "spectrum: 45 bisection levels, 53 matrices factored, 2 crossings, 1 records",
+        # the crossings share a bracket for 38 levels and part at the 39th;
+        # two Newton steps then polish each
+        "spectrum: 39 bisection levels, 2 Newton steps, 45 matrices factored, "
+        "2 crossings, 1 records",
     ]
 
 
