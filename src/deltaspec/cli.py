@@ -180,7 +180,6 @@ def _cmd_laurent(args) -> dict:
     return {
         "radius": coeffs.radius,
         "nodes": coeffs.nodes,
-        "stable": coeffs.stable,
         "A_minus2": _matrix2j(coeffs.A_minus2),
         "A_minus1": _matrix2j(coeffs.A_minus1),
         "norm_A_minus2": float(np.abs(coeffs.A_minus2).max()),

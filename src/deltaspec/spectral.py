@@ -12,6 +12,11 @@ curves, again all in one batch per step.  The k-th curve is negative at a
 point exactly when the inertia there exceeds k, so counts and
 multiplicities still come from the inertia; the crossings agree with a
 per-curve bisection to within its final bracket width.
+
+When classify_zero says Regular, Gamma(z)**-1 is analytic at 0 and
+laurent_at_zero returns A_-2 = A_-1 = 0 exactly (Jensen & Kato, Duke Math.
+J. 46 (1979) 583-611), with the requested radius and nodes = 0; at a
+singular threshold it integrates over a circle around 0.
 """
 
 from __future__ import annotations
@@ -266,7 +271,6 @@ class LaurentCoefficients:
     A_minus1: np.ndarray
     radius: float
     nodes: int
-    stable: bool
 
 
 def _circle_nodes(radius: float, nodes: int) -> np.ndarray:
@@ -287,20 +291,30 @@ def _circle_coefficients(cfg: PointConfig, zs: np.ndarray):
 def laurent_at_zero(
     cfg: PointConfig, radius: float = 1e-2, nodes: int = 64
 ) -> LaurentCoefficients:
-    """Laurent coefficients A_-2, A_-1 of Gamma(z)**-1 at z = 0 by trapezoidal
-    contour quadrature on the circle |z| = radius.
+    """Laurent coefficients A_-2, A_-1 of Gamma(z)**-1 at z = 0.
 
-    Trapezoid sums on a circle are spectrally accurate for the periodic
-    integrand; nodes are doubled until both coefficients move by less than
-    1e-8 absolute (error), and the radius is halved up to 6 times if Gamma
-    at a node is singular by the floor of linalg.inverse.  Each halving is
-    logged at DEBUG on the `deltaspec.spectral` logger.
+    If classify_zero(cfg), at its default tol, says Regular, Gamma(0) is
+    invertible and both coefficients are exactly zero: they are returned
+    with the requested radius and nodes = 0, and no contour is run.  So
+    laurent_at_zero and classify_zero agree on what Regular means.
+
+    Otherwise the coefficients come from trapezoidal contour quadrature on
+    the circle |z| = radius.  Trapezoid sums on a circle are spectrally
+    accurate for the periodic integrand; nodes are doubled until both
+    coefficients move by less than 1e-8 absolute (error), and the radius is
+    halved up to 6 times if Gamma at a node is singular by the floor of
+    linalg.inverse.  radius and nodes are then those of the accepted
+    circle.  Each halving is logged at DEBUG on the `deltaspec.spectral`
+    logger.
     """
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("laurent_at_zero requires a finite radius > 0")
     if not 4 <= nodes <= _LAURENT_MAX_NODES // 2:
         raise ValueError(f"nodes must lie in [4, {_LAURENT_MAX_NODES // 2}]")
     r = float(radius)
+    if classify_zero(cfg).label == REGULAR:
+        zero = np.zeros((cfg.n, cfg.n), dtype=complex)
+        return LaurentCoefficients(A_minus2=zero, A_minus1=zero.copy(), radius=r, nodes=0)
     for _ in range(7):
         n = int(nodes)
         prev = None
@@ -314,9 +328,7 @@ def laurent_at_zero(
                 d2 = float(np.abs(got[0] - prev[0]).max())
                 d1 = float(np.abs(got[1] - prev[1]).max())
                 if max(d2, d1) < _LAURENT_STAB_ATOL:
-                    return LaurentCoefficients(
-                        A_minus2=got[0], A_minus1=got[1], radius=r, nodes=n, stable=True
-                    )
+                    return LaurentCoefficients(A_minus2=got[0], A_minus1=got[1], radius=r, nodes=n)
             prev = got
             n *= 2
         if shrink:

@@ -1,6 +1,7 @@
 import numpy as np
 
 from deltaspec import PointConfig
+from deltaspec.model import FOUR_PI
 
 
 def random_config(rng, n, radius=5.0, min_dist=0.1, alpha_scale=5.0):
@@ -25,3 +26,17 @@ def random_config(rng, n, radius=5.0, min_dist=0.1, alpha_scale=5.0):
 def two_center_config(a, d):
     """Symmetric two-center configuration with equal strengths a at distance d."""
     return PointConfig(alpha=[a, a], points=[[0.0, 0.0, 0.0], [d, 0.0, 0.0]])
+
+
+def threshold_pole_on_node_config(eps=0.0):
+    """Two centers 2 apart with det Gamma(0) = 0 (alpha_A alpha_B = 1/(8pi)^2,
+    a zero resonance) and det Gamma(-0.01i) = 0, a pole of Gamma^-1 on node 48
+    of the default 64-node Laurent circle of radius 0.01.  Gamma(-it) is real
+    symmetric, so eps added to both strengths shifts its eigenvalues by eps:
+    the smallest is then |eps| at that node and at z = 0."""
+    d, c = 2.0, 0.01 / FOUR_PI
+    k = 1.0 / (FOUR_PI * d) ** 2
+    s = (k * (1.0 - np.exp(0.02 * d)) + c * c) / c  # alpha_A + alpha_B
+    root = np.sqrt(s * s - 4.0 * k)
+    alpha = [0.5 * (s + root) + eps, 0.5 * (s - root) + eps]
+    return PointConfig(alpha=alpha, points=[[0.0, 0.0, 0.0], [d, 0.0, 0.0]])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import threshold_pole_on_node_config
 from deltaspec import cli
 from deltaspec.cli import _pieces, dispatch, parse_config
 from deltaspec.model import ConfigError, FOUR_PI, gamma_stack
@@ -131,19 +132,20 @@ def test_laurent_resonant_single_center(tmp_path, capsys):
     code, out, _ = run(capsys, "laurent", path, "--radius", "0.01", "--nodes", "64")
     assert code == 0
     doc = json.loads(out)
-    assert doc["stable"] is True
     assert doc["A_minus1"]["im"][0][0] == pytest.approx(FOUR_PI, abs=1e-8)
     assert doc["norm_A_minus2"] < 1e-8
 
 
 def test_laurent_node_near_a_pole_exits_zero(tmp_path, capsys):
-    # the zero of Gamma lies 5e-13 from a node of the default circle
-    path = write_config(tmp_path, [0.01 / FOUR_PI + 5e-13], [[0.0, 0.0, 0.0]])
+    # a zero resonance whose Gamma has a zero 5e-13 from a node of the
+    # default circle
+    cfg = threshold_pole_on_node_config(5e-13)
+    path = write_config(tmp_path, cfg.alpha.tolist(), cfg.points.tolist())
     code, out, err = run(capsys, "laurent", path)
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["radius"] == 0.005
-    assert doc["norm_A_minus1"] < 1e-8
+    assert doc["norm_A_minus2"] < 1e-8 * doc["norm_A_minus1"]
 
 
 def test_resonances_antibound_state(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cholesky import NotPositiveDefinite, cholesky
-from conftest import random_config, two_center_config
+from conftest import random_config, threshold_pole_on_node_config, two_center_config
 from deltaspec import (
     PointConfig,
     SingularityError,
@@ -525,7 +525,6 @@ def test_laurent_single_center_resonant():
     coeffs = laurent_at_zero(cfg)
     np.testing.assert_allclose(coeffs.A_minus1, [[FOUR_PI * 1j]], atol=1e-8)
     assert np.abs(coeffs.A_minus2).max() < 1e-8
-    assert coeffs.stable
 
 
 def test_laurent_regular_config_has_no_singular_part():
@@ -535,9 +534,28 @@ def test_laurent_regular_config_has_no_singular_part():
     assert np.abs(coeffs.A_minus2).max() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [1e-3 / FOUR_PI, 5e-3 / FOUR_PI, -5e-3 / FOUR_PI]
+    + [0.01 / FOUR_PI + eps for eps in (2e-12, 1e-6, -1e-7)],
+)
+def test_laurent_regular_is_exactly_zero_with_a_pole_near_zero(alpha):
+    # det Gamma = alpha - iz/4pi vanishes at -4pi i alpha, inside the default
+    # circle of radius 1e-2 or within about 4pi |eps| of it: a contour would
+    # report that pole's residue as A_-1, or fail to converge
+    coeffs = laurent_at_zero(PointConfig(alpha=[alpha], points=[ORIGIN]))
+    zero = np.zeros((1, 1), dtype=complex)
+    np.testing.assert_array_equal(coeffs.A_minus2, zero)
+    np.testing.assert_array_equal(coeffs.A_minus1, zero)
+    assert (coeffs.radius, coeffs.nodes) == (1e-2, 0)
+
+
 def test_laurent_zero_eigenvalue_config_has_double_pole():
+    # Gamma(0) v = 0 with v = (1, -1)/sqrt2, Gamma'(0) v = 0 and
+    # v^T Gamma''(0) v / 2 = -1/8pi, so A_-2 = v v^T / (-1/8pi)
+    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
     coeffs = laurent_at_zero(zero_eigenvalue_config())
-    assert np.abs(coeffs.A_minus2).max() > 1e-3
+    np.testing.assert_allclose(coeffs.A_minus2, -8.0 * np.pi * np.outer(v, v), atol=1e-8)
 
 
 def test_laurent_mixed_config_has_double_pole():
@@ -546,22 +564,40 @@ def test_laurent_mixed_config_has_double_pole():
 
 
 def test_laurent_consistency_with_classification():
+    # rank A_-2 is the zero-eigenvalue multiplicity and A_-1 vanishes exactly
+    # on the Regular label, over random configs and the threshold fixtures
     rng = np.random.default_rng(46)
-    for _ in range(6):
-        cfg = random_config(rng, int(rng.integers(1, 5)))
-        if classify_zero(cfg).label == REGULAR:
-            coeffs = laurent_at_zero(cfg)
-            assert np.abs(coeffs.A_minus2).max() < 1e-6
-            assert np.abs(coeffs.A_minus1).max() < 1e-6
+    configs = [random_config(rng, int(rng.integers(1, 5))) for _ in range(6)] + [
+        PointConfig(alpha=[0.0], points=[ORIGIN]),
+        two_center_config(1.0 / FOUR_PI, 1.0),
+        zero_eigenvalue_config(),
+        mixed_threshold_config(),
+        threshold_pole_on_node_config(),
+    ]
+    labels = set()
+    for cfg in configs:
+        cls = classify_zero(cfg)
+        coeffs = laurent_at_zero(cfg)
+        labels.add(cls.label)
+        scale = max(1.0, float(np.abs(coeffs.A_minus1).max()))
+        sv = np.linalg.svd(coeffs.A_minus2, compute_uv=False)
+        assert np.count_nonzero(sv > 1e-6 * scale) == cls.eigenvalue_multiplicity
+        assert coeffs.A_minus1.any() == (cls.label != REGULAR)
+        if cls.label != REGULAR:
+            assert np.abs(coeffs.A_minus1).max() > 1e-3
+    assert labels == {REGULAR, ZERO_RESONANCE, ZERO_EIGENVALUE, MIXED}
 
 
 def test_laurent_radius_halving_is_logged(caplog):
-    # det Gamma = alpha - iz/4pi vanishes at -0.01i, a node of the default
-    # 64-node circle of radius 0.01, or sigma_min = 5e-13 from it, below the
-    # floor of linalg.inverse: the radius halves once, then converges
+    # a zero resonance whose Gamma has a zero at -0.01i, a node of the
+    # default 64-node circle of radius 0.01, or sigma_min = 5e-13 from it,
+    # below the floor of linalg.inverse: the radius halves once, then
+    # converges to the simple pole 4pi i v v^T / (1.v)^2 of the kernel v
     for eps in (0.0, 5e-13):
         caplog.clear()
-        cfg = PointConfig(alpha=[0.01 / FOUR_PI + eps], points=[ORIGIN])
+        cfg = threshold_pole_on_node_config(eps)
+        cls = classify_zero(cfg)
+        assert cls.label == ZERO_RESONANCE
         with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
             coeffs = laurent_at_zero(cfg)
         assert caplog.messages == [
@@ -569,8 +605,10 @@ def test_laurent_radius_halving_is_logged(caplog):
             "64-node circle"
         ]
         assert coeffs.radius == 0.005
-        assert np.abs(coeffs.A_minus2).max() < 1e-8
-        assert np.abs(coeffs.A_minus1).max() < 1e-8
+        v = cls.kernel[0]
+        residue = FOUR_PI * 1j * np.outer(v, v) / v.sum() ** 2
+        np.testing.assert_allclose(coeffs.A_minus1, residue, rtol=1e-6)
+        assert np.abs(coeffs.A_minus2).max() < 1e-8 * np.abs(residue).max()
 
 
 def test_laurent_input_validation():
