@@ -176,10 +176,14 @@ def _cmd_classify_zero(args) -> dict:
 
 def _cmd_laurent(args) -> dict:
     cfg = parse_config(args.config)
-    coeffs = spectral.laurent_at_zero(cfg, radius=args.radius, nodes=args.nodes)
+    if not (np.isfinite(args.radius) and args.radius > 0.0):
+        raise ConfigError("--radius must be finite and > 0")
+    coeffs = spectral.laurent_at_zero(cfg)
+    # The coefficients are exact and take no contour: "radius" echoes
+    # --radius and "nodes" is 0, kept because perfbench/run.py reads both.
     return {
-        "radius": coeffs.radius,
-        "nodes": coeffs.nodes,
+        "radius": args.radius,
+        "nodes": 0,
         "A_minus2": _matrix2j(coeffs.A_minus2),
         "A_minus1": _matrix2j(coeffs.A_minus1),
         "norm_A_minus2": float(np.abs(coeffs.A_minus2).max()),
@@ -297,7 +301,10 @@ def _cmd_scan_det(args) -> dict:
         raise ConfigError("--step must be positive")
     if args.stop < args.start:
         raise ConfigError("--to must be >= --from")
-    count = int(np.floor((args.stop - args.start) / args.step + 1e-12)) + 1
+    span = (args.stop - args.start) / args.step
+    if not np.isfinite(span):
+        raise ConfigError("--from, --to and --step give a non-finite number of points")
+    count = int(np.floor(span + 1e-12)) + 1
     ts = args.start + args.step * np.arange(count)
     zs = ts.astype(complex) if args.axis == "real" else 1j * ts
     dets = np.empty(count, dtype=complex)
@@ -361,8 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("laurent", _cmd_laurent, help="Laurent coefficients of Gamma^-1 at 0")
-    p.add_argument("--radius", type=float, default=1e-2)
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument(
+        "--radius",
+        type=float,
+        default=1e-2,
+        help="only echoed in the output: the coefficients are exact, with no contour",
+    )
 
     p = add("resonances", _cmd_resonances, help="zeros of det Gamma in a box")
     p.add_argument(

@@ -1,6 +1,6 @@
 """The linear-algebra conventions numpy leaves open; numpy is the only LAPACK
 binding, and call sites use it directly.  Here: when a Gamma is too singular
-to invert, and the error raised then.
+to invert, and the error raised then; the resolvent inverts through it.
 """
 
 from __future__ import annotations

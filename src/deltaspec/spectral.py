@@ -13,10 +13,11 @@ point exactly when the inertia there exceeds k, so counts and
 multiplicities still come from the inertia; the crossings agree with a
 per-curve bisection to within its final bracket width.
 
-When classify_zero says Regular, Gamma(z)**-1 is analytic at 0 and
-laurent_at_zero returns A_-2 = A_-1 = 0 exactly (Jensen & Kato, Duke Math.
-J. 46 (1979) 583-611), with the requested radius and nodes = 0; at a
-singular threshold it integrates over a circle around 0.
+laurent_at_zero takes the singular part of Gamma(z)**-1 at 0 in closed form
+from the kernel of Gamma(0), which classify_zero finds, and the Taylor
+coefficients of Gamma at 0, by two Schur-complement reductions; no contour
+runs, so no residue of another pole near 0 enters the result.  At a Regular
+threshold both coefficients are exactly zero.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .model import FOUR_PI, PointConfig, gamma_imag_axis, gamma_stack, row_sum_bound
+from .model import FOUR_PI, PointConfig, gamma_imag_axis, row_sum_bound
 
 REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
 ZERO_EIGENVALUE = "ZeroEigenvalue"
 MIXED = "Mixed"
-
-_LAURENT_MAX_NODES = 1024
-_LAURENT_STAB_ATOL = 1e-8
 
 logger = logging.getLogger(__name__)
 
@@ -265,80 +262,48 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
 
 @dataclass(frozen=True)
 class LaurentCoefficients:
-    """Coefficients of z**-2 and z**-1 in the expansion of Gamma(z)**-1 at 0."""
+    """Coefficients of z**-2 and z**-1 in the expansion of Gamma(z)**-1 at 0;
+    A_minus2 is real."""
 
     A_minus2: np.ndarray
     A_minus1: np.ndarray
-    radius: float
-    nodes: int
 
 
-def _circle_nodes(radius: float, nodes: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return radius * np.exp(1j * theta)
+def laurent_at_zero(cfg: PointConfig) -> LaurentCoefficients:
+    """Laurent coefficients A_-2, A_-1 of Gamma(z)**-1 at z = 0, in closed form
+    from the kernel V of Gamma(0) that classify_zero takes at its default tol,
+    so the two agree on the structure of the threshold.
 
+    Gamma(z) = sum_n G_n z**n with G_1 = -(i/4pi) 1 1^T, G_2 = D/8pi and
+    G_3 = i D**2/24pi (entrywise square), D = cfg.distances with its zero
+    diagonal.  A Schur complement onto V, then one onto its zero-sum part U
+    (the c = V^T 1 direction split off when a resonance is present, all of V
+    otherwise), gives
 
-def _circle_coefficients(cfg: PointConfig, zs: np.ndarray):
-    try:
-        inv = linalg.inverse(gamma_stack(cfg, zs))
-    except linalg.SingularMatrixError:
-        return None
-    a2 = (inv * (zs * zs)[:, None, None]).mean(axis=0)
-    a1 = (inv * zs[:, None, None]).mean(axis=0)
-    return a2, a1
+        A_-2 = U (U^T G_2 U)**-1 U^T = 8pi U (U^T D U)**-1 U^T,
+        A_-1 = (I - A_-2 G_2) Q (I - G_2 A_-2) - A_-2 G_3 A_-2,
 
-
-def laurent_at_zero(
-    cfg: PointConfig, radius: float = 1e-2, nodes: int = 64
-) -> LaurentCoefficients:
-    """Laurent coefficients A_-2, A_-1 of Gamma(z)**-1 at z = 0.
-
-    If classify_zero(cfg), at its default tol, says Regular, Gamma(0) is
-    invertible and both coefficients are exactly zero: they are returned
-    with the requested radius and nodes = 0, and no contour is run.  So
-    laurent_at_zero and classify_zero agree on what Regular means.
-
-    Otherwise the coefficients come from trapezoidal contour quadrature on
-    the circle |z| = radius.  Trapezoid sums on a circle are spectrally
-    accurate for the periodic integrand; nodes are doubled until both
-    coefficients move by less than 1e-8 absolute (error), and the radius is
-    halved up to 6 times if Gamma at a node is singular by the floor of
-    linalg.inverse.  radius and nodes are then those of the accepted
-    circle.  Each halving is logged at DEBUG on the `deltaspec.spectral`
-    logger.
+    with Q = u u^T / (u^T G_1 u) = 4pi i u u^T / (1.u)**2 for the resonant
+    direction u = V c, and Q = 0 without one (Jensen & Kato, Duke Math. J. 46
+    (1979) 583-611; Avrachenkov, Filar & Howlett, Analytic Perturbation Theory
+    and Its Applications, SIAM 2013, ch. 2).  Since 1^T U = 0, G_1 A_-2 = 0,
+    so the pseudo-inverse of Gamma(0) drops out of A_-1.  U^T D U is negative
+    definite for distinct centers (Schoenberg), so A_-2 is real and negative
+    semidefinite, of rank eigenvalue_multiplicity.  At a Regular threshold V
+    is empty and both coefficients are exactly zero.  Unlike a contour, the
+    result holds no residue of another pole near 0.
     """
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ValueError("laurent_at_zero requires a finite radius > 0")
-    if not 4 <= nodes <= _LAURENT_MAX_NODES // 2:
-        raise ValueError(f"nodes must lie in [4, {_LAURENT_MAX_NODES // 2}]")
-    r = float(radius)
-    if classify_zero(cfg).label == REGULAR:
-        zero = np.zeros((cfg.n, cfg.n), dtype=complex)
-        return LaurentCoefficients(A_minus2=zero, A_minus1=zero.copy(), radius=r, nodes=0)
-    for _ in range(7):
-        n = int(nodes)
-        prev = None
-        shrink = False
-        while n <= _LAURENT_MAX_NODES:
-            got = _circle_coefficients(cfg, _circle_nodes(r, n))
-            if got is None:
-                shrink = True
-                break
-            if prev is not None:
-                d2 = float(np.abs(got[0] - prev[0]).max())
-                d1 = float(np.abs(got[1] - prev[1]).max())
-                if max(d2, d1) < _LAURENT_STAB_ATOL:
-                    return LaurentCoefficients(A_minus2=got[0], A_minus1=got[1], radius=r, nodes=n)
-            prev = got
-            n *= 2
-        if shrink:
-            logger.debug(
-                "halving Laurent radius %r: Gamma is near-singular at a node of the "
-                "%d-node circle", r, n,
-            )
-            r *= 0.5
-            continue
-        raise ConvergenceError(
-            f"contour quadrature did not stabilize within {_LAURENT_MAX_NODES} nodes"
-        )
-    raise ConvergenceError("quadrature circle intersects a singularity at every radius tried")
+    n = cfg.n
+    cls = classify_zero(cfg)
+    v = np.reshape(cls.kernel, (-1, n)).T
+    q = np.zeros((n, n), dtype=complex)
+    if cls.resonance_present:
+        c = v.sum(axis=0)
+        u = v @ c
+        q = FOUR_PI * 1j * np.outer(u, u) / u.sum() ** 2
+        v = v @ np.linalg.qr(c[:, None], mode="complete")[0][:, 1:]
+    d = cfg.distances
+    a2 = 8.0 * np.pi * v @ np.linalg.solve(v.T @ d @ v, v.T)
+    m = np.eye(n) - a2 @ d / (8.0 * np.pi)
+    a1 = m @ q @ m.T - a2 @ (1j * d * d / (24.0 * np.pi)) @ a2
+    return LaurentCoefficients(A_minus2=a2, A_minus1=a1)

@@ -30,8 +30,8 @@ def two_center_config(a, d):
 
 def threshold_pole_on_node_config(eps=0.0):
     """Two centers 2 apart with det Gamma(0) = 0 (alpha_A alpha_B = 1/(8pi)^2,
-    a zero resonance) and det Gamma(-0.01i) = 0, a pole of Gamma^-1 on node 48
-    of the default 64-node Laurent circle of radius 0.01.  Gamma(-it) is real
+    a zero resonance) and det Gamma(-0.01i) = 0, a second pole of Gamma^-1 near
+    0, on node 48 of a 64-node circle of radius 0.01.  Gamma(-it) is real
     symmetric, so eps added to both strengths shifts its eigenvalues by eps:
     the smallest is then |eps| at that node and at z = 0."""
     d, c = 2.0, 0.01 / FOUR_PI

@@ -129,7 +129,7 @@ def test_classify_zero_resonant(tmp_path, capsys):
 
 def test_laurent_resonant_single_center(tmp_path, capsys):
     path = write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]])
-    code, out, _ = run(capsys, "laurent", path, "--radius", "0.01", "--nodes", "64")
+    code, out, _ = run(capsys, "laurent", path, "--radius", "0.01")
     assert code == 0
     doc = json.loads(out)
     assert doc["A_minus1"]["im"][0][0] == pytest.approx(FOUR_PI, abs=1e-8)
@@ -137,15 +137,33 @@ def test_laurent_resonant_single_center(tmp_path, capsys):
 
 
 def test_laurent_node_near_a_pole_exits_zero(tmp_path, capsys):
-    # a zero resonance whose Gamma has a zero 5e-13 from a node of the
-    # default circle
+    # a zero resonance whose Gamma has a second zero 5e-13 from a node of a
+    # 64-node circle of radius 0.01; the closed form sees only the pole at 0
     cfg = threshold_pole_on_node_config(5e-13)
     path = write_config(tmp_path, cfg.alpha.tolist(), cfg.points.tolist())
     code, out, err = run(capsys, "laurent", path)
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["radius"] == 0.005
     assert doc["norm_A_minus2"] < 1e-8 * doc["norm_A_minus1"]
+
+
+def test_laurent_radius_is_only_echoed(tmp_path, capsys):
+    # the coefficients are exact: --radius changes nothing but its echo, and
+    # nodes is always 0; a radius that is not finite and > 0 is still refused
+    path = write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]])
+    docs = []
+    for radius in ("0.01", "3e-3"):
+        code, out, _ = run(capsys, "laurent", path, "--radius", radius)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc.pop("radius"), doc.pop("nodes")) == (float(radius), 0)
+        doc.pop("manifest")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    for radius in ("0", "-1e-2"):
+        code, out, err = run(capsys, "laurent", path, f"--radius={radius}")
+        assert (code, out) == (1, "")
+        assert "--radius must be finite and > 0" in err
 
 
 def test_resonances_antibound_state(tmp_path, capsys):
@@ -369,7 +387,7 @@ def test_numerical_fields_are_deterministic(tmp_path, capsys):
 MANIFEST_PARAMETERS = {
     "spectrum": ([], ["tol"]),
     "classify-zero": (["--tol", "1e-9"], ["tol"]),
-    "laurent": ([], ["radius", "nodes"]),
+    "laurent": ([], ["radius"]),
     "resonances": (["--box", "-1", "1", "-2", "-1"], ["box", "tol"]),
     "certify": (["--zmax", "2"], ["zmax"]),
     "resolvent": (
@@ -429,6 +447,9 @@ def test_domain_error_exit_code(tmp_path, capsys):
         ["resolvent", "one", "--z", "-1,nan", "--x", "1,0,0", "--xp", "0,1,0"],
         ["scan-det", "one", "--axis", "real", "--from", "-nan", "--to", "1", "--step", "0.1"],
         ["certify", "one", "--zmax", "-Infinity"],
+        # finite bounds whose point count is not finite
+        ["scan-det", "one", "--axis", "imag", "--from", "-1e308", "--to", "1e308", "--step", "1"],
+        ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "1e-320"],
     ],
 )
 @pytest.mark.filterwarnings("error")

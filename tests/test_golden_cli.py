@@ -7,9 +7,10 @@ one.  Config paths are given relative to `golden_cli/`, so the manifests do
 not depend on where the repository lives.  Regenerate (only after a
 deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`;
 it prints which jobs changed, for a `resonances` job what changed in its
-roots, for a `spectrum` job what changed in its records, and for a `certify`
-job what changed in its keys, grid, verdict and sigma_min, before writing the
-new corpus.
+roots, for a `spectrum` job what changed in its records, for a `certify` job
+what changed in its keys, grid, verdict and sigma_min, and for a `laurent` job
+what changed in its keys, parameters, nodes and coefficients, before writing
+the new corpus.
 """
 
 import json
@@ -55,7 +56,7 @@ def _jobs() -> dict:
         jobs.update({
             f"{stem}-spectrum": (["spectrum", cfg], False),
             f"{stem}-classify-zero": (["classify-zero", cfg], False),
-            f"{stem}-laurent": (["laurent", cfg, "--nodes", "32"], False),
+            f"{stem}-laurent": (["laurent", cfg], False),
             f"{stem}-resonances": (
                 ["resonances", cfg, "--box", "-3", "3", "-3", "-0.2"], False
             ),
@@ -210,7 +211,51 @@ def test_certify_changes_report():
     )
 
 
-REPORTS = {"spectrum": spectrum_changes, "resolvent": resolvent_changes, "certify": certify_changes}
+def laurent_changes(old: bytes, new: bytes) -> list[str]:
+    """What changed between two outputs of a `laurent` job: removed and new
+    keys, the manifest's parameters, `nodes`, and the largest |dA_-2| and
+    |dA_-1|."""
+    a, b = json.loads(old), json.loads(new)
+    lines = [f"removed key {k}" for k in a if k not in b]
+    lines += [f"new key {k}" for k in b if k not in a]
+    pa, pb = (d["manifest"]["parameters"] for d in (a, b))
+    lines += [f"removed parameter {k}" for k in pa if k not in pb]
+    lines += [f"new parameter {k}" for k in pb if k not in pa]
+    lines += [f"parameter {k}: {pa[k]!r} -> {pb[k]!r}" for k in pa if k in pb and pa[k] != pb[k]]
+    if a["nodes"] != b["nodes"]:
+        lines.append(f"nodes: {a['nodes']} -> {b['nodes']}")
+    for key in ("A_minus2", "A_minus1"):
+        ma, mb = (np.array(d[key]["re"]) + 1j * np.array(d[key]["im"]) for d in (a, b))
+        lines.append(f"max |d{key}| = {np.abs(ma - mb).max():.3g}")
+    return lines
+
+
+def test_laurent_changes_report():
+    old = (GOLDEN / "n2-laurent.json").read_bytes()
+    doc = json.loads(old)
+    assert laurent_changes(old, old) == ["max |dA_minus2| = 0", "max |dA_minus1| = 0"]
+    doc["manifest"]["parameters"]["radius"] = 0.005
+    doc["manifest"]["parameters"]["nodes"] = 64
+    doc["nodes"] = 64
+    doc["A_minus1"]["im"][1][0] += 2.5e-12
+    doc["extra"] = doc.pop("norm_A_minus2")
+    assert laurent_changes(old, json.dumps(doc).encode()) == [
+        "removed key norm_A_minus2",
+        "new key extra",
+        "new parameter nodes",
+        "parameter radius: 0.01 -> 0.005",
+        "nodes: 0 -> 64",
+        "max |dA_minus2| = 0",
+        "max |dA_minus1| = 2.5e-12",
+    ]
+
+
+REPORTS = {
+    "spectrum": spectrum_changes,
+    "resolvent": resolvent_changes,
+    "certify": certify_changes,
+    "laurent": laurent_changes,
+}
 
 
 def _generate() -> None:

@@ -2,7 +2,7 @@
 numpy, its only binding: det by LU (root records and scan-det), solves (the
 edge quadrature), the symmetric eigensolver and the smallest singular
 value.  Also the outcome-typed test Cholesky and the singular-Gamma floor of
-linalg.inverse, which the resolvent and the Laurent circle share."""
+linalg.inverse, which the resolvent uses."""
 
 import numpy as np
 import pytest

@@ -7,6 +7,7 @@ import pytest
 
 from cholesky import NotPositiveDefinite, cholesky
 from conftest import random_config, threshold_pole_on_node_config, two_center_config
+from contour import contour_laurent
 from deltaspec import (
     PointConfig,
     SingularityError,
@@ -477,6 +478,31 @@ def mixed_threshold_config():
     return PointConfig(alpha=[-g, -g, -h / 2], points=pts)
 
 
+def asymmetric_mixed_config():
+    """Three centers with no symmetry whose Gamma(0) kills the zero-sum vector
+    a = (1, t, -1 - t) and a resonant one.  With alpha = K a / a, K = -Gamma(0)
+    at alpha = 0, a is a kernel vector for every t; t is bisected to a zero of
+    the product of the other two eigenvalues, the sum of the 2x2 principal
+    minors.  Unlike in mixed_threshold_config, whose mirror symmetry makes
+    U^T D u vanish for the zero-sum kernel U and the resonant direction u, the
+    factors I - A_-2 G_2 of A_-1 matter here."""
+    pts = random_config(np.random.default_rng(5), 3, radius=1.0, min_dist=0.3).points
+    k = -gamma_imag_axis(PointConfig(alpha=np.zeros(3), points=pts), 0.0)
+
+    def gamma0(t):
+        a = np.array([1.0, t, -1.0 - t])
+        return np.diag(k @ a / a) - k
+
+    def minors(t):
+        g = gamma0(t)
+        return sum(np.linalg.det(np.delete(np.delete(g, j, 0), j, 1)) for j in range(3))
+
+    t = scalar_bisect(lambda t: -minors(t), -0.5, -0.3)
+    cfg = PointConfig(alpha=np.diag(gamma0(t)), points=pts)
+    assert classify_zero(cfg).label == MIXED
+    return cfg
+
+
 def test_classify_zero_mixed_case():
     cls = classify_zero(mixed_threshold_config())
     assert cls.label == MIXED
@@ -520,6 +546,16 @@ def test_zero_sum_kernel_vector_is_square_integrable():
 # ---------------------------------------------------------------- laurent
 
 
+def zero_resonance_config(rng, n):
+    """A random configuration with its strengths shifted by one eigenvalue of
+    Gamma(0), whose eigenvector (of nonzero sum) becomes the kernel."""
+    cfg = random_config(rng, n)
+    mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, 0.0))
+    shifted = PointConfig(alpha=cfg.alpha - mu[int(rng.integers(n))], points=cfg.points)
+    assert classify_zero(shifted).label == ZERO_RESONANCE
+    return shifted
+
+
 def test_laurent_single_center_resonant():
     cfg = PointConfig(alpha=[0.0], points=[ORIGIN])
     coeffs = laurent_at_zero(cfg)
@@ -540,14 +576,13 @@ def test_laurent_regular_config_has_no_singular_part():
     + [0.01 / FOUR_PI + eps for eps in (2e-12, 1e-6, -1e-7)],
 )
 def test_laurent_regular_is_exactly_zero_with_a_pole_near_zero(alpha):
-    # det Gamma = alpha - iz/4pi vanishes at -4pi i alpha, inside the default
-    # circle of radius 1e-2 or within about 4pi |eps| of it: a contour would
+    # det Gamma = alpha - iz/4pi vanishes at -4pi i alpha, inside a circle of
+    # radius 1e-2 or within about 4pi |eps| of it: a contour there would
     # report that pole's residue as A_-1, or fail to converge
     coeffs = laurent_at_zero(PointConfig(alpha=[alpha], points=[ORIGIN]))
     zero = np.zeros((1, 1), dtype=complex)
     np.testing.assert_array_equal(coeffs.A_minus2, zero)
     np.testing.assert_array_equal(coeffs.A_minus1, zero)
-    assert (coeffs.radius, coeffs.nodes) == (1e-2, 0)
 
 
 def test_laurent_zero_eigenvalue_config_has_double_pole():
@@ -558,62 +593,98 @@ def test_laurent_zero_eigenvalue_config_has_double_pole():
     np.testing.assert_allclose(coeffs.A_minus2, -8.0 * np.pi * np.outer(v, v), atol=1e-8)
 
 
+@pytest.mark.parametrize("d", [0.3, 1.0, 1.7])
+def test_laurent_two_center_threshold_oracle(d):
+    # the antisymmetric eigenvalue of Gamma is -d z^2/8pi - i d^2 z^3/24pi + ...,
+    # so A_-2 = -(4pi/d) M and A_-1 = (4pi/3) i M with M = [[1, -1], [-1, 1]];
+    # d = 0.3 is where a radius-3e-3 contour does not converge
+    m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    coeffs = laurent_at_zero(zero_eigenvalue_config(d))
+    np.testing.assert_allclose(coeffs.A_minus2, -(FOUR_PI / d) * m, rtol=0, atol=1e-12 * FOUR_PI / d)
+    np.testing.assert_allclose(coeffs.A_minus1, (FOUR_PI / 3.0) * 1j * m, rtol=0, atol=1e-12 * FOUR_PI / 3.0)
+
+
 def test_laurent_mixed_config_has_double_pole():
     coeffs = laurent_at_zero(mixed_threshold_config())
     assert np.abs(coeffs.A_minus2).max() > 1e-6
 
 
+def test_laurent_matches_contour_oracle():
+    # on circles that enclose no pole but the one at 0 (the oracle checks
+    # it).  The first config is a zero resonance of two centers 1e4 apart
+    # (alpha_A alpha_B = 1/(4pi d)^2) whose Gamma^-1 has a second pole at
+    # -1e-3 i: a circle of radius 1e-2 returns the sum of both residues,
+    # max |A_-1| 6.78 instead of 10.39
+    a, d = 1e-3 / FOUR_PI, 1e4
+    far = PointConfig(alpha=[1.0 / (FOUR_PI * d) ** 2 / a, a], points=[ORIGIN, [d, 0.0, 0.0]])
+    rng = np.random.default_rng(47)
+    cases = [
+        (far, 1e-5, 1e-12),
+        (mixed_threshold_config(), 1e-2, 1e-9),
+        (asymmetric_mixed_config(), 1e-2, 1e-9),
+        (zero_eigenvalue_config(), 1e-2, 1e-9),
+        (threshold_pole_on_node_config(), 1e-3, 1e-9),
+    ] + [(zero_resonance_config(rng, n), 1e-3, 1e-9) for n in (3, 5, 8, 16)]
+    for cfg, radius, rtol in cases:
+        coeffs = laurent_at_zero(cfg)
+        a2, a1 = contour_laurent(cfg, radius)
+        scale = max(np.abs(a2).max(), np.abs(a1).max())
+        np.testing.assert_allclose(coeffs.A_minus2, a2, rtol=0, atol=rtol * scale)
+        np.testing.assert_allclose(coeffs.A_minus1, a1, rtol=0, atol=rtol * scale)
+
+
 def test_laurent_consistency_with_classification():
     # rank A_-2 is the zero-eigenvalue multiplicity and A_-1 vanishes exactly
-    # on the Regular label, over random configs and the threshold fixtures
+    # on the Regular label, over random configs, random zero resonances and
+    # the threshold fixtures.  At a singular threshold both coefficients are
+    # complex symmetric, A_-2 is real and negative semidefinite, and the
+    # z**-2 and z**-1 orders of Gamma(z) Gamma(z)**-1 = I vanish:
+    # G_0 A_-2 = 0 and G_0 A_-1 + G_1 A_-2 = 0
     rng = np.random.default_rng(46)
     configs = [random_config(rng, int(rng.integers(1, 5))) for _ in range(6)] + [
         PointConfig(alpha=[0.0], points=[ORIGIN]),
         two_center_config(1.0 / FOUR_PI, 1.0),
         zero_eigenvalue_config(),
         mixed_threshold_config(),
+        asymmetric_mixed_config(),
         threshold_pole_on_node_config(),
-    ]
+    ] + [zero_resonance_config(rng, n) for n in (3, 4, 6, 9, 12, 16)]
     labels = set()
     for cfg in configs:
         cls = classify_zero(cfg)
         coeffs = laurent_at_zero(cfg)
+        a2, a1 = coeffs.A_minus2, coeffs.A_minus1
         labels.add(cls.label)
-        scale = max(1.0, float(np.abs(coeffs.A_minus1).max()))
-        sv = np.linalg.svd(coeffs.A_minus2, compute_uv=False)
+        scale = max(1.0, float(np.abs(a1).max()))
+        sv = np.linalg.svd(a2, compute_uv=False)
         assert np.count_nonzero(sv > 1e-6 * scale) == cls.eigenvalue_multiplicity
-        assert coeffs.A_minus1.any() == (cls.label != REGULAR)
-        if cls.label != REGULAR:
-            assert np.abs(coeffs.A_minus1).max() > 1e-3
+        assert a1.any() == (cls.label != REGULAR)
+        if cls.label == REGULAR:
+            continue
+        assert np.abs(a1).max() > 1e-3
+        assert np.isrealobj(a2)
+        big = max(scale, float(np.abs(a2).max()))
+        np.testing.assert_allclose(a2, a2.T, rtol=0, atol=1e-13 * big)
+        np.testing.assert_allclose(a1, a1.T, rtol=0, atol=1e-13 * big)
+        assert np.linalg.eigvalsh(a2).max() <= 1e-13 * big
+        g0 = gamma_imag_axis(cfg, 0.0)
+        g1 = np.full((cfg.n, cfg.n), -1j / FOUR_PI)
+        rounding = 1e-12 * cfg.n * max(1.0, float(np.abs(g0).max())) * big
+        assert np.abs(g0 @ a2).max() <= rounding
+        assert np.abs(g0 @ a1 + g1 @ a2).max() <= rounding
     assert labels == {REGULAR, ZERO_RESONANCE, ZERO_EIGENVALUE, MIXED}
 
 
-def test_laurent_radius_halving_is_logged(caplog):
-    # a zero resonance whose Gamma has a zero at -0.01i, a node of the
-    # default 64-node circle of radius 0.01, or sigma_min = 5e-13 from it,
-    # below the floor of linalg.inverse: the radius halves once, then
-    # converges to the simple pole 4pi i v v^T / (1.v)^2 of the kernel v
+def test_laurent_pole_on_node_fixture_is_a_simple_pole():
+    # a zero resonance whose Gamma has a zero at -0.01i, or sigma_min = 5e-13
+    # from it: A_-1 is the simple pole 4pi i v v^T / (1.v)^2 of the kernel v,
+    # and the other pole does not enter
     for eps in (0.0, 5e-13):
-        caplog.clear()
         cfg = threshold_pole_on_node_config(eps)
         cls = classify_zero(cfg)
         assert cls.label == ZERO_RESONANCE
-        with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-            coeffs = laurent_at_zero(cfg)
-        assert caplog.messages == [
-            "halving Laurent radius 0.01: Gamma is near-singular at a node of the "
-            "64-node circle"
-        ]
-        assert coeffs.radius == 0.005
+        coeffs = laurent_at_zero(cfg)
         v = cls.kernel[0]
         residue = FOUR_PI * 1j * np.outer(v, v) / v.sum() ** 2
-        np.testing.assert_allclose(coeffs.A_minus1, residue, rtol=1e-6)
-        assert np.abs(coeffs.A_minus2).max() < 1e-8 * np.abs(residue).max()
-
-
-def test_laurent_input_validation():
-    cfg = PointConfig(alpha=[1.0], points=[ORIGIN])
-    with pytest.raises(ValueError):
-        laurent_at_zero(cfg, radius=0.0)
-    with pytest.raises(ValueError):
-        laurent_at_zero(cfg, nodes=2)
+        np.testing.assert_allclose(coeffs.A_minus1, residue, rtol=1e-12)
+        np.testing.assert_array_equal(coeffs.A_minus2, np.zeros((2, 2)))
