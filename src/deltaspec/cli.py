@@ -305,10 +305,13 @@ def _cmd_scan_det(args) -> dict:
     if not np.isfinite(span):
         raise ConfigError("--from, --to and --step give a non-finite number of points")
     count = int(np.floor(span + 1e-12)) + 1
-    ts = args.start + args.step * np.arange(count)
-    zs = ts.astype(complex) if args.axis == "real" else 1j * ts
-    dets = np.empty(count, dtype=complex)
-    sigmas = np.empty(count)
+    try:
+        ts = args.start + args.step * np.arange(count)
+        zs = ts.astype(complex) if args.axis == "real" else 1j * ts
+        dets = np.empty(count, dtype=complex)
+        sigmas = np.empty(count)
+    except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded" is a ValueError
+        raise ConfigError(f"--from, --to and --step give {count:.3g} points, too many to allocate")
 
     def scan(sl):
         gs = model.gamma_stack(cfg, zs[sl])

@@ -8,8 +8,11 @@ zero exactly once and the inertia, the number of negative eigenvalues, falls
 by one at each crossing.  The negative-eigenvalue solver bisects the inertia
 with all brackets in one batch per level until each bracket holds one
 crossing, then polishes those crossings by safeguarded Newton steps on their
-curves, again all in one batch per step.  The k-th curve is negative at a
-point exactly when the inertia there exceeds k, so counts and
+curves, again all in one batch per step.  Newton starts at the regula falsi
+point of the eigenvalues the bisection computed at the bracket's ends, and
+a simple record takes its eigenvector from Newton's last eigh, so only a
+multiple record factors a matrix of its own.  The k-th curve is negative at
+a point exactly when the inertia there exceeds k, so counts and
 multiplicities still come from the inertia; the crossings agree with a
 per-curve bisection to within its final bracket width.
 
@@ -75,40 +78,52 @@ class SpectralReport:
         return sum(rec.multiplicity for rec in self.eigenvalues)
 
 
-def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, counts: np.ndarray):
-    """Brackets (lo, hi, inertia at hi, inertia jump) of t >= 0 across which
-    `counts`, the number of negative eigenvalues of Gamma(it) on the grid ts,
-    changes (spectrum slicing; Barth, Martin & Wilkinson 1967).  Each level
-    counts the inertia at every midpoint with one batched eigvalsh and keeps
-    each half across which it changes.  A bracket leaves as soon as its jump
-    is 1, one crossing for Newton to polish, or its width is at most
-    5e-14 * (1 + hi), which adjacent floats always meet: a jump of 2 or more
-    there is a multiple crossing.  Also returns the number of levels and of
-    midpoint matrices factored."""
+def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, mu: np.ndarray):
+    """Brackets (lo, hi, inertia at hi, inertia jump, f_lo, f_hi) of t >= 0
+    across which the number of negative eigenvalues of Gamma(it) changes,
+    given the ordered eigenvalues `mu` of Gamma(it) on the grid ts
+    (spectrum slicing; Barth, Martin & Wilkinson 1967).  Each level
+    computes the eigenvalues at every midpoint with one batched eigvalsh and
+    keeps each half across which the inertia changes, with the eigenvalues
+    at both of its ends.  A bracket leaves as soon as its jump is 1, one
+    crossing for Newton to polish, or its width is at most 5e-14 * (1 + hi),
+    which adjacent floats always meet: a jump of 2 or more there is a
+    multiple crossing.  f_lo < 0 <= f_hi are the values at lo and hi of the
+    curve k = inertia at hi, the one that crosses in a bracket of jump 1.
+    Also returns the number of levels and of midpoint matrices factored."""
+    counts = np.count_nonzero(mu < 0.0, axis=-1)
     k = np.flatnonzero(counts[1:] != counts[:-1])
-    lo, hi, n_lo, n_hi = ts[k], ts[k + 1], counts[k], counts[k + 1]
+    lo, hi, mu_lo, mu_hi = ts[k], ts[k + 1], mu[k], mu[k + 1]
     final, levels, matrices = [], 0, 0
     while True:
+        n_lo, n_hi = (np.count_nonzero(m < 0.0, axis=-1) for m in (mu_lo, mu_hi))
         jump = np.abs(n_hi - n_lo)
         stop = (jump == 1) | (hi - lo <= 5e-14 * (1.0 + hi))
-        final.append((lo[stop], hi[stop], n_hi[stop], jump[stop]))
-        lo, hi, n_lo, n_hi = lo[~stop], hi[~stop], n_lo[~stop], n_hi[~stop]
+        rows, curve = np.flatnonzero(stop), n_hi[stop]
+        final.append(
+            (lo[stop], hi[stop], curve, jump[stop], mu_lo[rows, curve], mu_hi[rows, curve])
+        )
+        lo, hi, mu_lo, mu_hi = lo[~stop], hi[~stop], mu_lo[~stop], mu_hi[~stop]
         if not lo.size:
             break
         mid = 0.5 * (lo + hi)
-        n_mid = np.count_nonzero(np.linalg.eigvalsh(gamma_imag_axis(cfg, mid)) < 0.0, axis=-1)
+        mu_mid = np.linalg.eigvalsh(gamma_imag_axis(cfg, mid))
         levels, matrices = levels + 1, matrices + mid.size
-        left, right = n_mid != n_lo, n_mid != n_hi
+        n_mid = np.count_nonzero(mu_mid < 0.0, axis=-1)
+        left, right = n_mid != n_lo[~stop], n_mid != n_hi[~stop]
         lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
-        n_lo = np.concatenate([n_lo[left], n_mid[right]])
-        n_hi = np.concatenate([n_mid[left], n_hi[right]])
+        mu_lo = np.concatenate([mu_lo[left], mu_mid[right]])
+        mu_hi = np.concatenate([mu_mid[left], mu_hi[right]])
     return (*(np.concatenate(parts) for parts in zip(*final)), levels, matrices)
 
 
-def _newton_crossings(cfg: PointConfig, lo: np.ndarray, hi: np.ndarray, k: np.ndarray):
+def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
     """The zero of the k-th ordered eigenvalue curve mu(t) of Gamma(it) in
     each bracket (lo, hi) holding one crossing, by safeguarded Newton steps
-    (rtsafe; Press et al., Numerical Recipes, 9.4) from the midpoints.
+    (rtsafe; Press et al., Numerical Recipes, 9.4) from the regula falsi
+    point lo - f_lo (hi - lo) / (f_hi - f_lo) of the curve's values f_lo < 0
+    <= f_hi at the ends, or from the midpoint when that point is not
+    strictly inside (lo, hi) (f_hi = 0 puts it at hi).
 
     Each step takes one batched eigh at every point x still open.  mu(x)
     < 0 exactly when the inertia at x exceeds k, so x replaces lo or hi and
@@ -117,10 +132,13 @@ def _newton_crossings(cfg: PointConfig, lo: np.ndarray, hi: np.ndarray, k: np.nd
     Gamma(it).  A step that leaves [lo, hi], is not finite, or is more than
     half the previous one (the bracket width, at first) is replaced by
     bisection.  A point stops when its step or its bracket is at most
-    5e-14 * (1 + x).  Returns the crossings, the number of steps and of
-    matrices factored."""
-    x, prev = 0.5 * (lo + hi), hi - lo
-    done, steps, matrices = [], 0, 0
+    5e-14 * (1 + x).  Returns the crossings, the eigenvectors v of the last
+    points factored (each within that of its crossing), the number of steps
+    and of matrices factored."""
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where((f_hi > 0.0) & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    prev = hi - lo
+    done, steps, matrices = [(x[:0], np.empty((0, cfg.n)))], 0, 0
     while x.size:
         values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, x))
         steps, matrices = steps + 1, matrices + x.size
@@ -136,9 +154,10 @@ def _newton_crossings(cfg: PointConfig, lo: np.ndarray, hi: np.ndarray, k: np.nd
         step = np.abs(new - x)
         width = 5e-14 * (1.0 + new)
         stop = (step <= width) | (hi - lo <= width)
-        done.append(new[stop])
+        done.append((new[stop], v[stop]))
         x, lo, hi, k, prev = new[~stop], lo[~stop], hi[~stop], k[~stop], step[~stop]
-    return np.concatenate(done or [x]), steps, matrices
+    crossings, vecs = (np.concatenate(parts) for parts in zip(*done))
+    return crossings, vecs, steps, matrices
 
 
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
@@ -148,16 +167,20 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     lam_hi is the Gershgorin bound past which the matrix is positive
     definite, is bisected with all brackets in one batch per level until
     each bracket holds one crossing; safeguarded Newton steps on the
-    crossing's eigenvalue curve, all brackets again in one batch, then take
+    crossing's eigenvalue curve, from the regula falsi point of the curve's
+    values at the bracket's ends, all brackets again in one batch, then take
     it to within 5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2
     at width 5e-14 * (1 + lam) gives m crossings at its midpoint.  `tol`
     still governs the merging of near-degenerate crossings (merge radius
     tol*(1+lam); a merge of crossings from different brackets is logged at
     DEBUG, since a heuristic then sets the multiplicity) and the threshold
-    below which a crossing belongs to z = 0.  A record of multiplicity m
-    carries the m eigenvectors of one eigh of Gamma(i*lam) with the smallest
-    |eigenvalue|.  One DEBUG line per call on `deltaspec.spectral` gives the
-    bisection levels, the Newton steps, the matrices factored by both, the
+    below which a crossing belongs to z = 0.  A simple record, one Newton
+    crossing merged with no other, carries the eigenvector of its curve at
+    the last point Newton factored, within 5e-14 * (1 + lam) of lam; a
+    record of multiplicity m >= 2 carries the m eigenvectors of its own eigh
+    of Gamma(i*lam) with the smallest |eigenvalue|.  One DEBUG line per call
+    on `deltaspec.spectral` gives the bisection levels, the Newton steps,
+    the matrices factored by both, the records that ran their own eigh, the
     crossings and the records.
     """
     if not (np.isfinite(tol) and tol > 0.0):
@@ -167,17 +190,19 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
     if mu[1, 0] <= 0.0:
         raise ConvergenceError("upper bisection bracket is not positive definite")
-    lo, hi, n_hi, jumps, levels, matrices = _inertia_brackets(
-        cfg, ends, np.count_nonzero(mu < 0.0, axis=-1)
-    )
+    lo, hi, n_hi, jumps, f_lo, f_hi, levels, matrices = _inertia_brackets(cfg, ends, mu)
     one = jumps == 1
-    polished, steps, factored = _newton_crossings(cfg, lo[one], hi[one], n_hi[one])
-    multiple = np.repeat(0.5 * (lo + hi)[~one], jumps[~one])
+    polished, vectors, steps, factored = _newton_crossings(
+        cfg, lo[one], hi[one], n_hi[one], f_lo[one], f_hi[one]
+    )
+    lams = np.concatenate([polished, np.repeat(0.5 * (lo + hi)[~one], jumps[~one])])
 
     # Crossings at lam <= tol belong to the threshold, not the spectrum.
-    crossings = sorted(lam for lam in np.concatenate([polished, multiple]).tolist() if lam > tol)
+    order = np.argsort(lams)
+    order = order[lams[order] > tol]
+    crossings = lams[order].tolist()
 
-    records = []
+    records, solved = [], 0
     i = 0
     while i < len(crossings):
         j = i + 1
@@ -192,9 +217,12 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
                 "tol*(1+lam), not an inertia jump, sets the multiplicity",
                 mult, len(set(group)), lam_star,
             )
-        values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
-        order = np.argsort(np.abs(values))
-        coeffs = [vectors[:, int(c)].copy() for c in order[:mult]]
+        if mult == 1:  # a jump of m >= 2 gives m equal crossings, so this one is Newton's
+            coeffs = [vectors[order[i]].copy()]
+        else:
+            values, vecs = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
+            coeffs = [vecs[:, int(c)].copy() for c in np.argsort(np.abs(values))[:mult]]
+            solved += 1
         records.append(
             EigenvalueRecord(
                 lam=lam_star,
@@ -206,8 +234,8 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         i = j
     logger.debug(
         "spectrum: %d bisection levels, %d Newton steps, %d matrices factored, "
-        "%d crossings, %d records",
-        levels, steps, ends.size + matrices + factored, len(crossings), len(records),
+        "%d eigh by records, %d crossings, %d records",
+        levels, steps, ends.size + matrices + factored, solved, len(crossings), len(records),
     )
     return SpectralReport(eigenvalues=records)
 

@@ -450,6 +450,10 @@ def test_domain_error_exit_code(tmp_path, capsys):
         # finite bounds whose point count is not finite
         ["scan-det", "one", "--axis", "imag", "--from", "-1e308", "--to", "1e308", "--step", "1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "1e-320"],
+        # finite point counts too large to allocate: arange fails before it
+        # writes any memory
+        ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1e15", "--step", "1"],
+        ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1e300", "--step", "1"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -470,6 +474,8 @@ def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
     if argv[0] == "resolvent":  # the error names the flag
         [flag] = [f for f, v in zip(argv[2::2], argv[3::2]) if "inf" in v or "nan" in v]
         assert f"{flag} expects finite numbers" in err
+    if argv[0] == "scan-det":
+        assert "--from, --to and --step" in err
 
 
 @pytest.mark.parametrize(

@@ -250,7 +250,7 @@ def test_clustered_reference_config_has_three_quarters_bound_states():
 
 _SUMMARY = re.compile(
     r"spectrum: (\d+) bisection levels, (\d+) Newton steps, (\d+) matrices factored, "
-    r"(\d+) crossings, (\d+) records"
+    r"(\d+) eigh by records, (\d+) crossings, (\d+) records"
 )
 
 
@@ -270,37 +270,9 @@ def counted_spectrum(monkeypatch, caplog, cfg):
     return report, calls, summary
 
 
-def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
-    levels, steps, matrices, crossings, records = summary
-    assert report.total_multiplicity == 24
-    # the per-curve bisection made about 24 * 45 calls, one matrix each
-    assert len(calls["eigvalsh"]) <= 64
-    # one eigvalsh for the two ends and one per bisection level; one eigh per
-    # Newton step and one per record
-    assert len(calls["eigvalsh"]) == levels + 1
-    assert len(calls["eigh"]) == steps + records
-    newton = calls["eigh"][: len(calls["eigh"]) - records]
-    assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + newton)
-    assert (crossings, records) == (24, len(report.eigenvalues))
-
-
-def test_clustered_spectrum_factors_at_most_200_matrices(monkeypatch, caplog):
-    # bisecting the inertia to full width took 1,023 matrices here: 999
-    # eigvalsh and 24 eigh for the records
-    report, calls, _ = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
-    assert report.total_multiplicity == 24
-    assert sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["eigh"]) <= 200
-
-
-def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
-    # two centers 1 apart with a = 1/4pi - 1e-3: only the symmetric curve
-    # f(t) = a + t/4pi - exp(-t)/4pi crosses, near t = 0.0063, so the first
-    # bracket is the whole (0, lam_hi).  f is concave, and the Newton step
-    # from the midpoint lands below 0: the safeguard bisects instead, and
-    # keeps bisecting until Newton's steps halve
-    a = 1.0 / FOUR_PI - 1e-3
-    cfg = two_center_config(a, 1.0)
+def spied_points(monkeypatch):
+    """The list of the points, one list per call, at which the spectrum
+    assembles Gamma(it) from now on."""
     points = []
     assemble = spectral.gamma_imag_axis
 
@@ -309,37 +281,118 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
         return assemble(cfg, ts)
 
     monkeypatch.setattr(spectral, "gamma_imag_axis", spy)
+    return points
+
+
+def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    levels, steps, matrices, solved, crossings, records = summary
+    assert report.total_multiplicity == 24
+    # the per-curve bisection made about 24 * 45 calls, one matrix each
+    assert len(calls["eigvalsh"]) <= 64
+    # one eigvalsh for the two ends and one per bisection level; one eigh per
+    # Newton step and one per record that runs its own
+    assert len(calls["eigvalsh"]) == levels + 1
+    assert len(calls["eigh"]) == steps + solved
+    newton = calls["eigh"][:steps]
+    assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + newton)
+    assert (crossings, records) == (24, len(report.eigenvalues))
+
+
+def test_clustered_spectrum_factors_at_most_80_matrices(monkeypatch, caplog):
+    # bisecting the inertia to full width took 1,023 matrices here: 999
+    # eigvalsh and 24 eigh for the records; Newton from the midpoints with
+    # an eigh per record took 126
+    report, calls, _ = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    assert report.total_multiplicity == 24
+    assert sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["eigh"]) <= 80
+
+
+def test_simple_records_take_their_vectors_from_newton(monkeypatch, caplog):
+    # no record of multiplicity 1 runs an eigh of its own: its vector is its
+    # curve's at the last Newton point, within 5e-14 * (1 + lam) of lam, and
+    # annihilated by Gamma(i lam) to rounding
+    cfg = clustered_config(32, 32)
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    levels, steps, matrices, solved, crossings, records = summary
+    assert [rec.multiplicity for rec in report.eigenvalues] == [1] * 24
+    assert (solved, len(calls["eigh"])) == (0, steps)
+    for rec in report.eigenvalues:
+        g = gamma_imag_axis(cfg, rec.lam)
+        (v,) = rec.coefficients
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
+
+
+def test_newton_starts_at_the_regula_falsi_point(monkeypatch):
+    # one center with alpha = -1: its curve -1 + t/4pi crosses at 4pi
+    cfg = PointConfig(alpha=[-1.0], points=[ORIGIN])
+    points = spied_points(monkeypatch)
+    lo, hi, k = np.array([1.0, 0.0]), np.array([20.0, FOUR_PI]), np.array([0, 0])
+    f_lo, f_hi = -1.0 + lo / FOUR_PI, -1.0 + hi / FOUR_PI
+    assert f_hi.tolist()[1] == 0.0  # the crossing is the second bracket's hi
+    crossings, vectors, steps, matrices = spectral._newton_crossings(cfg, lo, hi, k, f_lo, f_hi)
+    # the first bracket starts at its regula falsi point, the second, whose
+    # regula falsi point is hi itself, at its midpoint
+    falsi = (lo - f_lo * (hi - lo) / (f_hi - f_lo)).tolist()[0]
+    assert points[0] == [falsi, FOUR_PI / 2.0]
+    np.testing.assert_allclose(crossings, [FOUR_PI, FOUR_PI], rtol=5e-14)
+    np.testing.assert_array_equal(np.abs(vectors), [[1.0], [1.0]])
+    assert (steps, matrices) == (len(points), sum(map(len, points)))
+
+
+def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
+    # a pair of centers 0.05 apart and one center 10 away with alpha = -1/4pi,
+    # whose curve -1/4pi + t/4pi crosses zero at t = 1.  The pair's
+    # antisymmetric curve, nearly flat there (slope (1 - exp(-0.05 t))/4pi),
+    # is set to -0.01 at t = 1, so the two curves cross just before it.  The
+    # top ordered curve follows the flat one, then the steep one: it is
+    # convex, its regula falsi point lies on the flat part, and the tangent
+    # there leaves the bracket; the safeguard bisects instead
+    d = 0.05
+    a = -0.01 - 1.0 / FOUR_PI - np.exp(-d) / (FOUR_PI * d)
+    cfg = PointConfig(alpha=[a, a, -1.0 / FOUR_PI], points=[ORIGIN, [d, 0, 0], [10.0, 0, 0]])
+    points = spied_points(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
         report = negative_eigenvalues(cfg)
-    f = lambda t: a + t / FOUR_PI - np.exp(-t) / FOUR_PI
     lam_hi = row_sum_bound(cfg) + 1.0
-    assert points[0] == [0.0, lam_hi]  # the ends; the inertia drops by 1
-    x = lam_hi / 2.0
-    assert points[1] == [x]
-    assert x - f(x) * FOUR_PI / (1.0 + np.exp(-x)) < 0.0
-    # seven bisections to (0, x / 2**7), then Newton from there; the last
-    # point is the record's
-    assert points[2:9] == [[x / 2.0 ** j] for j in range(1, 8)]
-    assert len(points) == 13
+    assert points[0] == [0.0, lam_hi]  # the ends; the inertia drops by 3
+    # five levels leave (lam_hi/4, lam_hi/2), (h, 2h) and (0, h), h = lam_hi/32,
+    # of one crossing each; the last holds the top curve's
+    h = lam_hi / 32.0
+    assert points[1:6] == [[lam_hi / 2.0 ** j] for j in range(1, 6)]
+    mu0, muh = (float(np.linalg.eigvalsh(gamma_imag_axis(cfg, t))[2]) for t in (0.0, h))
+    x = 0.0 - mu0 * (h - 0.0) / (muh - mu0)
+    assert 0.0 < x < h and points[6][1] == x
+    values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, x))
+    mu, v = values[2], vectors[:, 2]
+    assert mu < 0.0  # x is the new lo, and the tangent's zero lies past hi
+    assert x - mu * FOUR_PI / (v @ np.exp(-x * cfg.distances) @ v) > h
+    assert points[7][1] == 0.5 * (x + h)
     assert caplog.messages == [
-        "spectrum: 0 bisection levels, 11 Newton steps, 13 matrices factored, "
-        "1 crossings, 1 records"
+        "spectrum: 5 bisection levels, 5 Newton steps, 20 matrices factored, "
+        "0 eigh by records, 3 crossings, 3 records"
     ]
-    (rec,) = report.eigenvalues
-    assert abs(rec.lam - two_center_branch_roots(a, 1.0)[0]) <= 5e-14 * (1.0 + rec.lam)
+    got = [rec.lam for rec in report.eigenvalues]
+    expect = [lam for lam, *_ in per_curve_reference(cfg)]
+    assert len(got) == 3
+    assert all(abs(g - e) <= 5e-14 * (1.0 + e) for g, e in zip(got, expect))
+    assert abs(got[0] - 1.0) <= 1e-11
 
 
 def test_inertia_bisection_stops_at_adjacent_floats():
     # near t = 2**45 neighbouring doubles are 2**-7 apart, still within the
     # stopping width 5e-14 * (1 + t): a bracket that cannot be halved is
-    # returned as it is instead of being bisected forever
+    # returned as it is instead of being bisected forever.  The eigenvalues
+    # given at the ends stand for an inertia of 2 and 0; curve 0 crosses
     cfg = two_center_config(-1.0, 1.0)
     t = 2.0 ** 45
     ts = np.array([t, np.nextafter(t, np.inf)])
-    lo, hi, n_hi, jumps, levels, matrices = spectral._inertia_brackets(
-        cfg, ts, np.array([2, 0])
+    lo, hi, n_hi, jumps, f_lo, f_hi, levels, matrices = spectral._inertia_brackets(
+        cfg, ts, np.array([[-2.0, -1.0], [1.0, 2.0]])
     )
     assert (lo.tolist(), hi.tolist(), n_hi.tolist(), jumps.tolist()) == ([ts[0]], [ts[1]], [0], [2])
+    assert (f_lo.tolist(), f_hi.tolist()) == ([-2.0], [1.0])
     assert (levels, matrices) == (0, 0)
 
 
@@ -355,9 +408,10 @@ def test_spectrum_logs_merges_across_brackets(caplog):
         f"merging 2 crossings from 2 brackets into lam {lam!r}: the merge radius "
         "tol*(1+lam), not an inertia jump, sets the multiplicity",
         # the crossings share a bracket for 38 levels and part at the 39th;
-        # two Newton steps then polish each
-        "spectrum: 39 bisection levels, 2 Newton steps, 45 matrices factored, "
-        "2 crossings, 1 records",
+        # one Newton step from the regula falsi point then polishes each, and
+        # the merged record runs its own eigh
+        "spectrum: 39 bisection levels, 1 Newton steps, 43 matrices factored, "
+        "1 eigh by records, 2 crossings, 1 records",
     ]
 
 
