@@ -75,10 +75,7 @@ def _c2j(z: complex) -> dict:
 
 def _matrix2j(m: np.ndarray) -> dict:
     m = np.asarray(m)
-    return {
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _parse_tuple(text: str, parts: int, flag: str) -> list[float]:
@@ -155,7 +152,7 @@ def _cmd_spectrum(args) -> dict:
                 "lambda": rec.lam,
                 "energy": rec.energy,
                 "multiplicity": rec.multiplicity,
-                "coefficients": [[float(v) for v in c] for c in rec.coefficients],
+                "coefficients": [c.tolist() for c in rec.coefficients],
             }
             for rec in report.eigenvalues
         ]
@@ -170,7 +167,7 @@ def _cmd_classify_zero(args) -> dict:
         "kernel_dim": cls.kernel_dim,
         "eigenvalue_multiplicity": cls.eigenvalue_multiplicity,
         "resonance_present": cls.resonance_present,
-        "kernel": [[float(v) for v in vec] for vec in cls.kernel],
+        "kernel": [vec.tolist() for vec in cls.kernel],
     }
 
 

@@ -9,10 +9,13 @@ by one at each crossing.  The negative-eigenvalue solver bisects the inertia
 with all brackets in one batch per level until each bracket holds one
 crossing, then polishes those crossings by safeguarded Newton steps on their
 curves, again all in one batch per step.  Newton starts at the regula falsi
-point of the eigenvalues the bisection computed at the bracket's ends, and
-a simple record takes its eigenvector from Newton's last eigh, so only a
-multiple record factors a matrix of its own.  The k-th curve is negative at
-a point exactly when the inertia there exceeds k, so counts and
+point of the eigenvalues the bisection computed at the bracket's ends.  Each
+of its points costs one LU factorization for the sign of the determinant,
+which keeps the bracket, and one solve with one right-hand side, an inverse
+iteration whose vector gives the step; no Newton point needs all N
+eigenpairs.  A simple record takes its eigenvector from Newton's last solve,
+so only a multiple record factors a matrix of its own.  The k-th curve is
+negative at a point exactly when the inertia there exceeds k, so counts and
 multiplicities still come from the inertia; the crossings agree with a
 per-curve bisection to within its final bracket width.
 
@@ -61,7 +64,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
-    """One negative eigenvalue -lam**2 with its kernel coefficient vectors."""
+    """One negative eigenvalue -lam**2 with its kernel coefficient vectors,
+    each of unit length with its largest-|entry| component positive."""
 
     lam: float
     energy: float
@@ -125,39 +129,75 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
     <= f_hi at the ends, or from the midpoint when that point is not
     strictly inside (lo, hi) (f_hi = 0 puts it at hi).
 
-    Each step takes one batched eigh at every point x still open.  mu(x)
-    < 0 exactly when the inertia at x exceeds k, so x replaces lo or hi and
-    the bracket keeps the crossing.  The slope is v^T G' v > 0, with v the
-    eigenvector of mu(x) and G' = exp(-x d)/4pi the t-derivative of
-    Gamma(it).  A step that leaves [lo, hi], is not finite, or is more than
-    half the previous one (the bracket width, at first) is replaced by
-    bisection.  A point stops when its step or its bracket is at most
-    5e-14 * (1 + x).  Returns the crossings, the eigenvectors v of the last
-    points factored (each within that of its crossing), the number of steps
-    and of matrices factored."""
+    Each step factors every point x still open by LU, once in a batched
+    slogdet and once in a batched solve with one right-hand side b.  The
+    bracket holds one crossing, so the inertia at x is k + 1 below it and k
+    at or above it, and the sign of det Gamma(ix) tells which: x replaces lo
+    when it is (-1)**(k + 1), else hi, and the bracket keeps the crossing.
+    With y = Gamma(ix)**-1 b and G' = exp(-x d)/4pi the t-derivative of
+    Gamma(it), the step x - (b.y)/(y^T G' y) is Newton's on 1/(b^T Gamma**-1
+    b), whose zero in the bracket is the crossing; it tends to mu/(v^T G' v)
+    as b tends to the curve's eigenvector v.  b starts as one fixed
+    pseudo-random unit vector (a vector of ones is orthogonal to every
+    antisymmetric state) and is y/|y| after each point, an inverse iteration
+    on v.  A step that leaves [lo, hi], is not finite, or is more than half
+    the previous one (the bracket width, at first) is replaced by bisection.
+    A point stops when its step or its bracket is at most 5e-14 * (1 + x),
+    with b as its vector; one that stops at its first point takes one more
+    solve at that matrix, so every vector has had at least two.  A point
+    whose det is exactly 0 is a crossing: it stops there and takes its
+    vector from an eigh of that matrix alone.  Returns the crossings, the
+    vectors of the last points factored (each within 5e-14 * (1 + x) of its
+    crossing), the number of steps (slogdet calls) and of points factored."""
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     x = np.where((f_hi > 0.0) & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
     prev = hi - lo
-    done, steps, matrices = [(x[:0], np.empty((0, cfg.n)))], 0, 0
+    b = np.random.default_rng(0).standard_normal(cfg.n)
+    b = np.tile(b / np.linalg.norm(b), (x.size, 1))
+    done, steps, matrices = [(x[:0], b[:0])], 0, 0
     while x.size:
-        values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, x))
+        g = gamma_imag_axis(cfg, x)
+        sign = np.linalg.slogdet(g)[0]
         steps, matrices = steps + 1, matrices + x.size
-        rows = np.arange(x.size)
-        mu, v = values[rows, k], vectors[rows, :, k]
-        below = mu < 0.0
+        exact = sign == 0.0
+        if exact.any():
+            vectors = np.linalg.eigh(g[exact])[1]
+            done.append((x[exact], vectors[np.arange(vectors.shape[0]), :, k[exact]]))
+            g, sign, x, lo, hi, k, prev, b = (
+                a[~exact] for a in (g, sign, x, lo, hi, k, prev, b)
+            )
+            if not x.size:
+                continue
+        below = sign == (-1.0) ** (k + 1)
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        grad = np.exp(-x[:, None, None] * cfg.distances) / FOUR_PI
+        # y is scaled to max|y| = 1: near a crossing its 2-norm can overflow
+        y = np.linalg.solve(g, b[..., None])[..., 0]
+        scale = np.abs(y).max(axis=1)
+        y /= scale[:, None]
+        # G' = I/4pi - Gamma(ix) * d entrywise, read off the matrix just built
+        slope = np.einsum("bi,bi->b", y, y) / FOUR_PI - np.einsum(
+            "bi,bij,bj->b", y, g * cfg.distances, y
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - mu / np.einsum("bi,bij,bj->b", v, grad, v)
+            new = x - np.einsum("bi,bi->b", b, y) / (scale * slope)
         newton = (lo <= new) & (new <= hi) & (np.abs(new - x) <= 0.5 * prev)
         new = np.where(newton, new, 0.5 * (lo + hi))
         step = np.abs(new - x)
         width = 5e-14 * (1.0 + new)
         stop = (step <= width) | (hi - lo <= width)
-        done.append((new[stop], v[stop]))
-        x, lo, hi, k, prev = new[~stop], lo[~stop], hi[~stop], k[~stop], step[~stop]
+        if steps == 1 and stop.any():
+            y[stop] = np.linalg.solve(g[stop], y[stop, :, None])[..., 0]
+            y[stop] /= np.abs(y[stop]).max(axis=1, keepdims=True)
+        b = y / np.linalg.norm(y, axis=1, keepdims=True)
+        done.append((new[stop], b[stop]))
+        x, lo, hi, k, prev, b = (a[~stop] for a in (new, lo, hi, k, step, b))
     crossings, vecs = (np.concatenate(parts) for parts in zip(*done))
     return crossings, vecs, steps, matrices
+
+
+def _signed(v: np.ndarray) -> np.ndarray:
+    """A copy of v with its largest-|entry| component positive."""
+    return v * np.sign(v[np.argmax(np.abs(v))])
 
 
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
@@ -168,20 +208,23 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     definite, is bisected with all brackets in one batch per level until
     each bracket holds one crossing; safeguarded Newton steps on the
     crossing's eigenvalue curve, from the regula falsi point of the curve's
-    values at the bracket's ends, all brackets again in one batch, then take
-    it to within 5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2
+    values at the bracket's ends, all brackets again in one batch, each
+    point one batched slogdet and one batched solve, then take it to within
+    5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2
     at width 5e-14 * (1 + lam) gives m crossings at its midpoint.  `tol`
     still governs the merging of near-degenerate crossings (merge radius
     tol*(1+lam); a merge of crossings from different brackets is logged at
     DEBUG, since a heuristic then sets the multiplicity) and the threshold
     below which a crossing belongs to z = 0.  A simple record, one Newton
-    crossing merged with no other, carries the eigenvector of its curve at
+    crossing merged with no other, carries the inverse-iteration vector of
     the last point Newton factored, within 5e-14 * (1 + lam) of lam; a
     record of multiplicity m >= 2 carries the m eigenvectors of its own eigh
-    of Gamma(i*lam) with the smallest |eigenvalue|.  One DEBUG line per call
-    on `deltaspec.spectral` gives the bisection levels, the Newton steps,
-    the matrices factored by both, the records that ran their own eigh, the
-    crossings and the records.
+    of Gamma(i*lam) with the smallest |eigenvalue|.  Every vector has its
+    largest-|entry| component positive.  One DEBUG line per call on
+    `deltaspec.spectral` gives the bisection levels, the Newton steps
+    (batched slogdet calls), the matrices factored (eigvalsh matrices of the
+    bisection and LU points of Newton), the records that ran their own eigh,
+    the crossings and the records.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("negative_eigenvalues requires a finite tol > 0")
@@ -218,10 +261,10 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
                 mult, len(set(group)), lam_star,
             )
         if mult == 1:  # a jump of m >= 2 gives m equal crossings, so this one is Newton's
-            coeffs = [vectors[order[i]].copy()]
+            coeffs = [_signed(vectors[order[i]])]
         else:
             values, vecs = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
-            coeffs = [vecs[:, int(c)].copy() for c in np.argsort(np.abs(values))[:mult]]
+            coeffs = [_signed(vecs[:, int(c)]) for c in np.argsort(np.abs(values))[:mult]]
             solved += 1
         records.append(
             EigenvalueRecord(

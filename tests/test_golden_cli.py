@@ -7,7 +7,8 @@ one.  Config paths are given relative to `golden_cli/`, so the manifests do
 not depend on where the repository lives.  Regenerate (only after a
 deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.py`;
 it prints which jobs changed, for a `resonances` job what changed in its
-roots, for a `spectrum` job what changed in its records, for a `certify` job
+roots, for a `spectrum` job what changed in its records and their
+coefficient vectors (up to sign, and which flipped), for a `certify` job
 what changed in its keys, grid, verdict and sigma_min, and for a `laurent` job
 what changed in its keys, parameters, nodes and coefficients, before writing
 the new corpus.
@@ -132,7 +133,9 @@ def _search_record(text: bytes) -> dict:
 
 def spectrum_changes(old: bytes, new: bytes) -> list[str]:
     """What changed between two outputs of a `spectrum` job: the record
-    count, the multiplicity of each record, and the largest |dlam|."""
+    count, the multiplicity of each record, the largest |dlam|, the records
+    whose coefficient vector flipped sign, and the largest change of a
+    coefficient vector up to sign."""
     a, b = (json.loads(text)["eigenvalues"] for text in (old, new))
     if len(a) != len(b):
         return [f"record count: {len(a)} -> {len(b)}"]
@@ -143,6 +146,17 @@ def spectrum_changes(old: bytes, new: bytes) -> list[str]:
     ]
     dlam = max((abs(r["lambda"] - s["lambda"]) for r, s in zip(a, b)), default=0.0)
     lines.append(f"max |dlam| = {dlam:.3g} over {len(b)} records")
+    flipped, dv = [], 0.0
+    for i, (r, s) in enumerate(zip(a, b)):
+        for j, (u, w) in enumerate(zip(r["coefficients"], s["coefficients"])):
+            u, w = np.array(u), np.array(w)
+            same, opposite = np.abs(w - u).max(), np.abs(w + u).max()
+            if opposite < same:
+                flipped.append(f"record {i}" + (f" vector {j}" if s["multiplicity"] > 1 else ""))
+            dv = max(dv, min(same, opposite))
+    if flipped:
+        lines.append(f"sign flipped: {', '.join(flipped)}")
+    lines.append(f"max |dv| = {dv:.3g} up to sign")
     return lines
 
 
@@ -180,12 +194,20 @@ def certify_changes(old: bytes, new: bytes) -> list[str]:
 def test_spectrum_changes_report():
     old = (GOLDEN / "n5-spectrum.json").read_bytes()
     doc = json.loads(old)
-    assert spectrum_changes(old, old) == ["max |dlam| = 0 over 2 records"]
+    assert spectrum_changes(old, old) == [
+        "max |dlam| = 0 over 2 records", "max |dv| = 0 up to sign"
+    ]
     doc["eigenvalues"][1]["lambda"] += 2.5e-12
     doc["eigenvalues"][0]["multiplicity"] = 2
+    (vector,) = doc["eigenvalues"][1]["coefficients"]
+    doc["eigenvalues"][1]["coefficients"] = [[-v for v in vector]]
+    doc["eigenvalues"][0]["coefficients"][0][2] += 2.0 ** -40
     new = json.dumps(doc).encode()
     assert spectrum_changes(old, new) == [
-        "record 0 multiplicity: 1 -> 2", "max |dlam| = 2.5e-12 over 2 records"
+        "record 0 multiplicity: 1 -> 2",
+        "max |dlam| = 2.5e-12 over 2 records",
+        "sign flipped: record 1",
+        f"max |dv| = {2.0 ** -40:.3g} up to sign",
     ]
     del doc["eigenvalues"][0]
     assert spectrum_changes(old, json.dumps(doc).encode()) == ["record count: 2 -> 1"]

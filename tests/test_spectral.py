@@ -255,9 +255,10 @@ _SUMMARY = re.compile(
 
 
 def counted_spectrum(monkeypatch, caplog, cfg):
-    """negative_eigenvalues(cfg) with the batch shapes of every eigvalsh and
-    eigh call it made, and the numbers of its DEBUG summary line."""
-    calls = {"eigvalsh": [], "eigh": []}
+    """negative_eigenvalues(cfg) with the batch shapes of every eigvalsh,
+    eigh, slogdet and solve call it made, and the numbers of its DEBUG
+    summary line."""
+    calls = {"eigvalsh": [], "eigh": [], "slogdet": [], "solve": []}
     for name, shapes in calls.items():
         def counted(a, *args, _solver=getattr(np.linalg, name), _shapes=shapes, **kwargs):
             _shapes.append(np.shape(a)[:-2])
@@ -290,12 +291,16 @@ def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
     assert report.total_multiplicity == 24
     # the per-curve bisection made about 24 * 45 calls, one matrix each
     assert len(calls["eigvalsh"]) <= 64
-    # one eigvalsh for the two ends and one per bisection level; one eigh per
-    # Newton step and one per record that runs its own
+    # one eigvalsh for the two ends and one per bisection level; one slogdet
+    # and one solve per Newton step, all its points in each, one more solve
+    # for the crossings that stop at their first point, and no eigh
     assert len(calls["eigvalsh"]) == levels + 1
-    assert len(calls["eigh"]) == steps + solved
-    newton = calls["eigh"][:steps]
-    assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + newton)
+    assert len(calls["slogdet"]) == steps
+    first, extra, *rest = calls["solve"]
+    assert [first, *rest] == calls["slogdet"]
+    assert 0 < int(np.prod(extra)) <= int(np.prod(first))
+    assert calls["eigh"] == []
+    assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["slogdet"])
     assert (crossings, records) == (24, len(report.eigenvalues))
 
 
@@ -309,19 +314,54 @@ def test_clustered_spectrum_factors_at_most_80_matrices(monkeypatch, caplog):
 
 
 def test_simple_records_take_their_vectors_from_newton(monkeypatch, caplog):
-    # no record of multiplicity 1 runs an eigh of its own: its vector is its
-    # curve's at the last Newton point, within 5e-14 * (1 + lam) of lam, and
-    # annihilated by Gamma(i lam) to rounding
+    # no eigh runs at all: a record of multiplicity 1 takes its vector from
+    # the last solve of Newton's inverse iteration, at a point within
+    # 5e-14 * (1 + lam) of lam, and it is annihilated by Gamma(i lam) to
+    # rounding, with its largest-|entry| component positive
     cfg = clustered_config(32, 32)
     report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
     levels, steps, matrices, solved, crossings, records = summary
     assert [rec.multiplicity for rec in report.eigenvalues] == [1] * 24
-    assert (solved, len(calls["eigh"])) == (0, steps)
+    assert (solved, calls["eigh"]) == (0, [])
+    assert len(calls["slogdet"]) == steps
     for rec in report.eigenvalues:
         g = gamma_imag_axis(cfg, rec.lam)
         (v,) = rec.coefficients
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
         assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
+        assert v[np.argmax(np.abs(v))] > 0.0
+
+
+def test_antisymmetric_state_gets_its_own_vector(monkeypatch, caplog):
+    # two equal centers: the lower crossing is the antisymmetric state
+    # (1, -1)/sqrt 2, orthogonal to a vector of ones.  Newton's start vector
+    # is not, so its inverse iteration finds that state in a few steps; from
+    # a vector of ones only rounding feeds the state in, and the safeguard
+    # bisects for twice as many steps
+    cfg = two_center_config(-0.3, 0.5)
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    assert [rec.multiplicity for rec in report.eigenvalues] == [1, 1]
+    assert summary == (4, 6, 15, 0, 2, 2)
+    (v,) = report.eigenvalues[0].coefficients
+    anti = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert min(np.linalg.norm(v - anti), np.linalg.norm(v + anti)) <= 1e-14
+    g = gamma_imag_axis(cfg, report.eigenvalues[0].lam)
+    assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
+
+
+def test_exactly_singular_newton_point_takes_its_vector_from_one_eigh(monkeypatch, caplog):
+    # one center with alpha = -1: the regula falsi point of the ends 0 and
+    # lam_hi rounds to 4pi, where Gamma(4pi i) = [-1 + 4pi/4pi] is exactly 0.
+    # slogdet's sign 0 ends the crossing there, with no solve, and one eigh
+    # of that matrix alone gives the vector
+    cfg = PointConfig(alpha=[-1.0], points=[ORIGIN])
+    assert gamma_imag_axis(cfg, FOUR_PI).tolist() == [[0.0]]
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    (rec,) = report.eigenvalues
+    assert rec.lam == FOUR_PI
+    assert (calls["slogdet"], calls["solve"], calls["eigh"]) == ([(1,)], [], [(1,)])
+    assert summary == (0, 1, 3, 0, 1, 1)
+    np.testing.assert_array_equal(rec.coefficients, [[1.0]])
 
 
 def test_newton_starts_at_the_regula_falsi_point(monkeypatch):
@@ -346,31 +386,53 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
     # whose curve -1/4pi + t/4pi crosses zero at t = 1.  The pair's
     # antisymmetric curve, nearly flat there (slope (1 - exp(-0.05 t))/4pi),
     # is set to -0.01 at t = 1, so the two curves cross just before it.  The
-    # top ordered curve follows the flat one, then the steep one: it is
-    # convex, its regula falsi point lies on the flat part, and the tangent
-    # there leaves the bracket; the safeguard bisects instead
+    # top ordered curve follows the flat one, then the steep one, and its
+    # regula falsi point lies on the flat part.  The step from there is more
+    # than half the bracket and is bisected; at that midpoint the step leaves
+    # the bracket, and the safeguard bisects again
     d = 0.05
     a = -0.01 - 1.0 / FOUR_PI - np.exp(-d) / (FOUR_PI * d)
     cfg = PointConfig(alpha=[a, a, -1.0 / FOUR_PI], points=[ORIGIN, [d, 0, 0], [10.0, 0, 0]])
     points = spied_points(monkeypatch)
+    solve, rhs = np.linalg.solve, []
+
+    def spy(a, b):
+        rhs.append(b[..., 0].copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
         report = negative_eigenvalues(cfg)
     lam_hi = row_sum_bound(cfg) + 1.0
     assert points[0] == [0.0, lam_hi]  # the ends; the inertia drops by 3
     # five levels leave (lam_hi/4, lam_hi/2), (h, 2h) and (0, h), h = lam_hi/32,
-    # of one crossing each; the last holds the top curve's
+    # of one crossing each; the last holds the top curve's, k = 2
     h = lam_hi / 32.0
     assert points[1:6] == [[lam_hi / 2.0 ** j] for j in range(1, 6)]
     mu0, muh = (float(np.linalg.eigvalsh(gamma_imag_axis(cfg, t))[2]) for t in (0.0, h))
     x = 0.0 - mu0 * (h - 0.0) / (muh - mu0)
     assert 0.0 < x < h and points[6][1] == x
-    values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, x))
-    mu, v = values[2], vectors[:, 2]
-    assert mu < 0.0  # x is the new lo, and the tangent's zero lies past hi
-    assert x - mu * FOUR_PI / (v @ np.exp(-x * cfg.distances) @ v) > h
-    assert points[7][1] == 0.5 * (x + h)
+
+    def newton(t, b):
+        """The det sign at t, the step t - (b.y)/(y^T G' y) and y = Gamma(it)**-1 b."""
+        g = gamma_imag_axis(cfg, t)
+        y = solve(g, b)
+        slope = y @ np.exp(-t * cfg.distances) @ y / FOUR_PI
+        return np.linalg.slogdet(g)[0], t - (b @ y) / slope, y
+
+    # at x the det sign is (-1)**3, so x is below the crossing and the new
+    # lo; its step stays in (x, h) but is more than half the first bracket
+    sign, new, y = newton(x, rhs[0][1])
+    assert sign == -1.0 and x < new < h and new - x > 0.5 * h
+    x1 = 0.5 * (x + h)
+    assert points[7][1] == x1
+    # b is now y/|y|; at x1, the new hi, the step passes x1 and is bisected
+    np.testing.assert_allclose(rhs[1][1], y / np.linalg.norm(y), rtol=0, atol=1e-15)
+    sign, new, _ = newton(x1, rhs[1][1])
+    assert sign == 1.0 and new > x1
+    assert points[8][1] == 0.5 * (x + x1)
     assert caplog.messages == [
-        "spectrum: 5 bisection levels, 5 Newton steps, 20 matrices factored, "
+        "spectrum: 5 bisection levels, 9 Newton steps, 29 matrices factored, "
         "0 eigh by records, 3 crossings, 3 records"
     ]
     got = [rec.lam for rec in report.eigenvalues]
