@@ -11,10 +11,10 @@ crossing, then polishes those crossings by safeguarded Newton steps on their
 curves, again all in one batch per step.  Newton starts at the regula falsi
 point of the eigenvalues the bisection computed at the bracket's ends.  Each
 of its points costs one LU factorization for the sign of the determinant,
-which keeps the bracket, and one solve with one right-hand side, an inverse
-iteration whose vector gives the step; no Newton point needs all N
-eigenpairs.  A simple record takes its eigenvector from Newton's last solve,
-so only a multiple record factors a matrix of its own.  The k-th curve is
+which keeps the bracket, and one solve with one right-hand side (two at the
+first point), an inverse iteration whose vector gives the step; no Newton
+point needs all N eigenpairs.  A simple record takes its eigenvector from
+Newton's last solve, so only a multiple record factors a matrix of its own.  The k-th curve is
 negative at a point exactly when the inertia there exceeds k, so counts and
 multiplicities still come from the inertia; the crossings agree with a
 per-curve bisection to within its final bracket width.
@@ -65,7 +65,9 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EigenvalueRecord:
     """One negative eigenvalue -lam**2 with its kernel coefficient vectors,
-    each of unit length with its largest-|entry| component positive."""
+    each of unit length with its largest-|entry| component positive; where
+    several entries are largest to within 1e-12 (relative), the first of
+    them is positive."""
 
     lam: float
     energy: float
@@ -121,6 +123,17 @@ def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, mu: np.ndarray):
     return (*(np.concatenate(parts) for parts in zip(*final)), levels, matrices)
 
 
+def _solve_scaled(g, b, live):
+    """y = g**-1 b for the rows `live` of the batch, scaled to max|y| = 1, and
+    the scale: near a crossing |y| can overflow.  The scale is NaN in the
+    other rows and inf where y overflowed."""
+    y = np.full_like(b, np.nan)
+    y[live] = np.linalg.solve(g[live], b[live, :, None])[..., 0]
+    scale = np.abs(y).max(axis=1)
+    with np.errstate(invalid="ignore"):
+        return y / scale[:, None], scale
+
+
 def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
     """The zero of the k-th ordered eigenvalue curve mu(t) of Gamma(it) in
     each bracket (lo, hi) holding one crossing, by safeguarded Newton steps
@@ -130,25 +143,26 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
     strictly inside (lo, hi) (f_hi = 0 puts it at hi).
 
     Each step factors every point x still open by LU, once in a batched
-    slogdet and once in a batched solve with one right-hand side b.  The
-    bracket holds one crossing, so the inertia at x is k + 1 below it and k
-    at or above it, and the sign of det Gamma(ix) tells which: x replaces lo
-    when it is (-1)**(k + 1), else hi, and the bracket keeps the crossing.
-    With y = Gamma(ix)**-1 b and G' = exp(-x d)/4pi the t-derivative of
-    Gamma(it), the step x - (b.y)/(y^T G' y) is Newton's on 1/(b^T Gamma**-1
-    b), whose zero in the bracket is the crossing; it tends to mu/(v^T G' v)
-    as b tends to the curve's eigenvector v.  b starts as one fixed
-    pseudo-random unit vector (a vector of ones is orthogonal to every
-    antisymmetric state) and is y/|y| after each point, an inverse iteration
-    on v.  A step that leaves [lo, hi], is not finite, or is more than half
-    the previous one (the bracket width, at first) is replaced by bisection.
-    A point stops when its step or its bracket is at most 5e-14 * (1 + x),
-    with b as its vector; one that stops at its first point takes one more
-    solve at that matrix, so every vector has had at least two.  A point
-    whose det is exactly 0 is a crossing: it stops there and takes its
-    vector from an eigh of that matrix alone.  Returns the crossings, the
-    vectors of the last points factored (each within 5e-14 * (1 + x) of its
-    crossing), the number of steps (slogdet calls) and of points factored."""
+    slogdet and once in a batched solve with one right-hand side b (twice
+    at the first point).  The bracket holds one crossing, so the inertia at
+    x is k + 1 below it and k at or above it, and the sign of det Gamma(ix)
+    tells which: x replaces lo when it is (-1)**(k + 1), else hi, and the
+    bracket keeps the crossing.  With y = Gamma(ix)**-1 b and G' =
+    exp(-x d)/4pi the t-derivative of Gamma(it), the step x - (b.y)/(y^T G'
+    y) is Newton's on 1/(b^T Gamma**-1 b), whose zero in the bracket is the
+    crossing; it tends to mu/(v^T G' v) as b tends to the curve's
+    eigenvector v.  b starts as one fixed pseudo-random unit vector (a
+    vector of ones is orthogonal to every antisymmetric state) and is y/|y|
+    after each solve, an inverse iteration on v; the first point solves
+    twice, so its step already uses a vector iterated twice.  A step that
+    leaves [lo, hi], is not finite, or is more than half the previous one
+    (the bracket width, at first) is replaced by bisection.  A point stops
+    when its step or its bracket is at most 5e-14 * (1 + x), with b as its
+    vector.  A point whose det is exactly 0, or whose y overflows, is a
+    crossing: it stops there and takes its vector from an eigh of that
+    matrix alone.  Returns the crossings, the vectors of the last points
+    factored (each within 5e-14 * (1 + x) of its crossing), the number of
+    steps (slogdet calls) and of points factored."""
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     x = np.where((f_hi > 0.0) & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
     prev = hi - lo
@@ -159,21 +173,19 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
         g = gamma_imag_axis(cfg, x)
         sign = np.linalg.slogdet(g)[0]
         steps, matrices = steps + 1, matrices + x.size
-        exact = sign == 0.0
+        y, scale = _solve_scaled(g, b, sign != 0.0)
+        if steps == 1:
+            b = y / np.linalg.norm(y, axis=1, keepdims=True)
+            y, scale = _solve_scaled(g, b, np.isfinite(scale))
+        exact = ~np.isfinite(scale)
         if exact.any():
             vectors = np.linalg.eigh(g[exact])[1]
             done.append((x[exact], vectors[np.arange(vectors.shape[0]), :, k[exact]]))
-            g, sign, x, lo, hi, k, prev, b = (
-                a[~exact] for a in (g, sign, x, lo, hi, k, prev, b)
+            g, sign, x, lo, hi, k, prev, b, y, scale = (
+                a[~exact] for a in (g, sign, x, lo, hi, k, prev, b, y, scale)
             )
-            if not x.size:
-                continue
         below = sign == (-1.0) ** (k + 1)
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        # y is scaled to max|y| = 1: near a crossing its 2-norm can overflow
-        y = np.linalg.solve(g, b[..., None])[..., 0]
-        scale = np.abs(y).max(axis=1)
-        y /= scale[:, None]
         # G' = I/4pi - Gamma(ix) * d entrywise, read off the matrix just built
         slope = np.einsum("bi,bi->b", y, y) / FOUR_PI - np.einsum(
             "bi,bij,bj->b", y, g * cfg.distances, y
@@ -185,9 +197,6 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
         step = np.abs(new - x)
         width = 5e-14 * (1.0 + new)
         stop = (step <= width) | (hi - lo <= width)
-        if steps == 1 and stop.any():
-            y[stop] = np.linalg.solve(g[stop], y[stop, :, None])[..., 0]
-            y[stop] /= np.abs(y[stop]).max(axis=1, keepdims=True)
         b = y / np.linalg.norm(y, axis=1, keepdims=True)
         done.append((new[stop], b[stop]))
         x, lo, hi, k, prev, b = (a[~stop] for a in (new, lo, hi, k, step, b))
@@ -196,8 +205,11 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
 
 
 def _signed(v: np.ndarray) -> np.ndarray:
-    """A copy of v with its largest-|entry| component positive."""
-    return v * np.sign(v[np.argmax(np.abs(v))])
+    """A copy of v whose first component within 1e-12 (relative) of its
+    largest |entry| is positive: entries equal up to rounding, as in a
+    symmetric or antisymmetric state, do not leave the sign to rounding."""
+    size = np.abs(v)
+    return v * np.sign(v[np.argmax(size >= (1.0 - 1e-12) * size.max())])
 
 
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
@@ -209,9 +221,10 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     each bracket holds one crossing; safeguarded Newton steps on the
     crossing's eigenvalue curve, from the regula falsi point of the curve's
     values at the bracket's ends, all brackets again in one batch, each
-    point one batched slogdet and one batched solve, then take it to within
-    5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2
-    at width 5e-14 * (1 + lam) gives m crossings at its midpoint.  `tol`
+    point one batched slogdet and one batched solve (two at the first
+    point), then take it to within 5e-14 * (1 + lam).  A bracket whose
+    inertia jumps by m >= 2 at width 5e-14 * (1 + lam) gives m crossings at
+    its midpoint.  `tol`
     still governs the merging of near-degenerate crossings (merge radius
     tol*(1+lam); a merge of crossings from different brackets is logged at
     DEBUG, since a heuristic then sets the multiplicity) and the threshold
@@ -220,7 +233,8 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     the last point Newton factored, within 5e-14 * (1 + lam) of lam; a
     record of multiplicity m >= 2 carries the m eigenvectors of its own eigh
     of Gamma(i*lam) with the smallest |eigenvalue|.  Every vector has its
-    largest-|entry| component positive.  One DEBUG line per call on
+    largest-|entry| component positive (the first of them, where several
+    are largest to within 1e-12).  One DEBUG line per call on
     `deltaspec.spectral` gives the bisection levels, the Newton steps
     (batched slogdet calls), the matrices factored (eigvalsh matrices of the
     bisection and LU points of Newton), the records that ran their own eigh,

@@ -292,13 +292,12 @@ def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
     # the per-curve bisection made about 24 * 45 calls, one matrix each
     assert len(calls["eigvalsh"]) <= 64
     # one eigvalsh for the two ends and one per bisection level; one slogdet
-    # and one solve per Newton step, all its points in each, one more solve
-    # for the crossings that stop at their first point, and no eigh
+    # and one solve per Newton step, all its points in each, a second solve
+    # at the first step, and no eigh
     assert len(calls["eigvalsh"]) == levels + 1
     assert len(calls["slogdet"]) == steps
-    first, extra, *rest = calls["solve"]
-    assert [first, *rest] == calls["slogdet"]
-    assert 0 < int(np.prod(extra)) <= int(np.prod(first))
+    first, *rest = calls["slogdet"]
+    assert calls["solve"] == [first, first, *rest]
     assert calls["eigh"] == []
     assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["slogdet"])
     assert (crossings, records) == (24, len(report.eigenvalues))
@@ -306,18 +305,26 @@ def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
 
 def test_clustered_spectrum_factors_at_most_80_matrices(monkeypatch, caplog):
     # bisecting the inertia to full width took 1,023 matrices here: 999
-    # eigvalsh and 24 eigh for the records; Newton from the midpoints with
-    # an eigh per record took 126
-    report, calls, _ = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    # eigvalsh and 24 eigh for the records; Newton by eigh took 126 from
+    # the midpoints and 80 from the regula falsi points.
+    # Every matrix factored counts once: the eigvalsh and eigh matrices, and
+    # each Newton point, which one slogdet factors (its solves factor the
+    # same matrix again, one each, two at the first step, so the LU
+    # factorizations are fixed by the points: 2 * 44 + 24 = 112 here)
+    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
     assert report.total_multiplicity == 24
-    assert sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["eigh"]) <= 80
+    factored = calls["eigvalsh"] + calls["eigh"] + calls["slogdet"]
+    assert summary[2] == sum(int(np.prod(shape)) for shape in factored) <= 80
+    first, *rest = calls["slogdet"]
+    assert calls["solve"] == [first, first, *rest]
 
 
 def test_simple_records_take_their_vectors_from_newton(monkeypatch, caplog):
     # no eigh runs at all: a record of multiplicity 1 takes its vector from
     # the last solve of Newton's inverse iteration, at a point within
     # 5e-14 * (1 + lam) of lam, and it is annihilated by Gamma(i lam) to
-    # rounding, with its largest-|entry| component positive
+    # rounding, with its largest-|entry| component positive (no two entries
+    # are within 1e-12 of each other here)
     cfg = clustered_config(32, 32)
     report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
     levels, steps, matrices, solved, crossings, records = summary
@@ -337,14 +344,14 @@ def test_antisymmetric_state_gets_its_own_vector(monkeypatch, caplog):
     # (1, -1)/sqrt 2, orthogonal to a vector of ones.  Newton's start vector
     # is not, so its inverse iteration finds that state in a few steps; from
     # a vector of ones only rounding feeds the state in, and the safeguard
-    # bisects for twice as many steps
+    # bisects for four times as many steps.  Its two entries are equally
+    # large, so the sign rule makes the first positive
     cfg = two_center_config(-0.3, 0.5)
     report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
     assert [rec.multiplicity for rec in report.eigenvalues] == [1, 1]
-    assert summary == (4, 6, 15, 0, 2, 2)
+    assert summary == (4, 3, 12, 0, 2, 2)
     (v,) = report.eigenvalues[0].coefficients
-    anti = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert min(np.linalg.norm(v - anti), np.linalg.norm(v + anti)) <= 1e-14
+    assert np.linalg.norm(v - np.array([1.0, -1.0]) / np.sqrt(2.0)) <= 1e-14
     g = gamma_imag_axis(cfg, report.eigenvalues[0].lam)
     assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
 
@@ -352,16 +359,63 @@ def test_antisymmetric_state_gets_its_own_vector(monkeypatch, caplog):
 def test_exactly_singular_newton_point_takes_its_vector_from_one_eigh(monkeypatch, caplog):
     # one center with alpha = -1: the regula falsi point of the ends 0 and
     # lam_hi rounds to 4pi, where Gamma(4pi i) = [-1 + 4pi/4pi] is exactly 0.
-    # slogdet's sign 0 ends the crossing there, with no solve, and one eigh
-    # of that matrix alone gives the vector
+    # slogdet's sign 0 ends the crossing there, with no matrix solved, and
+    # one eigh of that matrix alone gives the vector
     cfg = PointConfig(alpha=[-1.0], points=[ORIGIN])
     assert gamma_imag_axis(cfg, FOUR_PI).tolist() == [[0.0]]
     report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
     (rec,) = report.eigenvalues
     assert rec.lam == FOUR_PI
-    assert (calls["slogdet"], calls["solve"], calls["eigh"]) == ([(1,)], [], [(1,)])
+    assert (calls["slogdet"], calls["eigh"]) == ([(1,)], [(1,)])
+    assert sum(int(np.prod(shape)) for shape in calls["solve"]) == 0
     assert summary == (0, 1, 3, 0, 1, 1)
     np.testing.assert_array_equal(rec.coefficients, [[1.0]])
+
+
+def test_newton_point_whose_solve_overflows_takes_its_vector_from_one_eigh(monkeypatch):
+    # centers with alpha = -1 and -2, 28.85 apart: at t = 4pi the first's
+    # diagonal entry -1 + t/4pi is exactly 0 and the coupling e =
+    # exp(-t d)/4pi d is about 1e-160, so Gamma(4pi i) = [[0, -e], [-e, -1]]
+    # has det -e**2, not 0, but its inverse has an entry 1/e**2, past the
+    # largest double.  Curve 1 crosses at 4pi; Newton's first point there
+    # ends the crossing through one eigh of that matrix alone, with a finite
+    # vector, not the NaN of y/inf
+    cfg = PointConfig(alpha=[-1.0, -2.0], points=[ORIGIN, [28.85, 0.0, 0.0]])
+    g = gamma_imag_axis(cfg, FOUR_PI)
+    assert g[0, 0] == 0.0 and 1e-161 < -g[0, 1] < 1e-159 and np.linalg.slogdet(g)[0] != 0.0
+    assert np.isinf(np.linalg.solve(g, [1.0, 0.0])).any()
+    lo, hi = np.array([0.5 * FOUR_PI]), np.array([1.5 * FOUR_PI])
+    f_lo, f_hi = np.array([-0.5]), np.array([0.5])  # curve 1 is -1 + t/4pi
+    assert (lo - f_lo * (hi - lo) / (f_hi - f_lo)).tolist() == [FOUR_PI]
+    eigh, batches = np.linalg.eigh, []
+
+    def spy(a):
+        batches.append(np.shape(a)[:-2])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    crossings, vectors, steps, matrices = spectral._newton_crossings(
+        cfg, lo, hi, np.array([1]), f_lo, f_hi
+    )
+    assert crossings.tolist() == [FOUR_PI] and (steps, matrices) == (1, 1)
+    assert batches == [(1,)]
+    (v,) = vectors
+    assert np.isfinite(v).all() and abs(v[0]) == 1.0
+    assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
+    monkeypatch.undo()
+    for rec in negative_eigenvalues(cfg).eigenvalues:
+        assert np.isfinite(rec.coefficients).all()
+
+
+def test_sign_rule_makes_the_first_of_equally_large_entries_positive():
+    # an antisymmetric state whose second entry rounds one ulp larger: the
+    # sign follows the first entry, not the rounding
+    v = np.array([np.sqrt(0.5), -np.nextafter(np.sqrt(0.5), 1.0)])
+    assert abs(v[1]) > abs(v[0])
+    np.testing.assert_array_equal(spectral._signed(v), v)
+    np.testing.assert_array_equal(spectral._signed(-v), v)
+    w = np.array([0.6, -0.8])  # a clear largest entry sets the sign
+    np.testing.assert_array_equal(spectral._signed(w), -w)
 
 
 def test_newton_starts_at_the_regula_falsi_point(monkeypatch):
@@ -387,9 +441,10 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
     # antisymmetric curve, nearly flat there (slope (1 - exp(-0.05 t))/4pi),
     # is set to -0.01 at t = 1, so the two curves cross just before it.  The
     # top ordered curve follows the flat one, then the steep one, and its
-    # regula falsi point lies on the flat part.  The step from there is more
-    # than half the bracket and is bisected; at that midpoint the step leaves
-    # the bracket, and the safeguard bisects again
+    # regula falsi point lies on the flat part.  The step from there leaves
+    # the bracket and is bisected; at that midpoint the step leaves the
+    # bracket again, and the safeguard bisects again; later a step inside
+    # the bracket but longer than half the step before is bisected too
     d = 0.05
     a = -0.01 - 1.0 / FOUR_PI - np.exp(-d) / (FOUR_PI * d)
     cfg = PointConfig(alpha=[a, a, -1.0 / FOUR_PI], points=[ORIGIN, [d, 0, 0], [10.0, 0, 0]])
@@ -420,19 +475,31 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
         slope = y @ np.exp(-t * cfg.distances) @ y / FOUR_PI
         return np.linalg.slogdet(g)[0], t - (b @ y) / slope, y
 
-    # at x the det sign is (-1)**3, so x is below the crossing and the new
-    # lo; its step stays in (x, h) but is more than half the first bracket
-    sign, new, y = newton(x, rhs[0][1])
-    assert sign == -1.0 and x < new < h and new - x > 0.5 * h
+    # the first point solves twice: b is then y/|y| for y = Gamma(ix)**-1 b0,
+    # b0 the start vector.  At x the det sign is (-1)**3, so x is below the
+    # crossing and the new lo; its step passes h and is bisected
+    y0 = solve(gamma_imag_axis(cfg, x), rhs[0][1])
+    np.testing.assert_allclose(rhs[1][1], y0 / np.linalg.norm(y0), rtol=0, atol=1e-15)
+    sign, new, y = newton(x, rhs[1][1])
+    assert sign == -1.0 and new > h
     x1 = 0.5 * (x + h)
     assert points[7][1] == x1
     # b is now y/|y|; at x1, the new hi, the step passes x1 and is bisected
-    np.testing.assert_allclose(rhs[1][1], y / np.linalg.norm(y), rtol=0, atol=1e-15)
-    sign, new, _ = newton(x1, rhs[1][1])
+    np.testing.assert_allclose(rhs[2][1], y / np.linalg.norm(y), rtol=0, atol=1e-15)
+    sign, new, _ = newton(x1, rhs[2][1])
     assert sign == 1.0 and new > x1
     assert points[8][1] == 0.5 * (x + x1)
+    # the top curve's points from x on: at the sixth, the new hi, the step
+    # stays in the bracket but is more than half the step before, and the
+    # safeguard bisects once more
+    top = [t for batch in points[6:] for t in batch if t < h]
+    x4, x5 = top[4:6]
+    assert points[11] == [x5]
+    sign, new, _ = newton(x5, rhs[6][0])
+    assert sign == 1.0 and x4 < new < x5 and x5 - new > 0.5 * (x5 - x4)
+    assert top[6] == 0.5 * (x4 + x5)
     assert caplog.messages == [
-        "spectrum: 5 bisection levels, 9 Newton steps, 29 matrices factored, "
+        "spectrum: 5 bisection levels, 10 Newton steps, 26 matrices factored, "
         "0 eigh by records, 3 crossings, 3 records"
     ]
     got = [rec.lam for rec in report.eigenvalues]
