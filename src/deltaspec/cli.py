@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import re
 import sys
 from collections.abc import Iterator
@@ -143,8 +142,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             )
 
 
-def _cmd_spectrum(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_spectrum(cfg, args) -> dict:
     report = spectral.negative_eigenvalues(cfg, tol=args.tol)
     return {
         "eigenvalues": [
@@ -159,8 +157,7 @@ def _cmd_spectrum(args) -> dict:
     }
 
 
-def _cmd_classify_zero(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_classify_zero(cfg, args) -> dict:
     cls = spectral.classify_zero(cfg, tol=args.tol)
     return {
         "label": cls.label,
@@ -171,8 +168,7 @@ def _cmd_classify_zero(args) -> dict:
     }
 
 
-def _cmd_laurent(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_laurent(cfg, args) -> dict:
     if not (np.isfinite(args.radius) and args.radius > 0.0):
         raise ConfigError("--radius must be finite and > 0")
     coeffs = spectral.laurent_at_zero(cfg)
@@ -188,8 +184,7 @@ def _cmd_laurent(args) -> dict:
     }
 
 
-def _cmd_resonances(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_resonances(cfg, args) -> dict:
     box = resonance.Box(*args.box)
     found = resonance.find_resonances(cfg, box, tol=args.tol)
     return {
@@ -213,8 +208,7 @@ def _cmd_resonances(args) -> dict:
     }
 
 
-def _cmd_certify(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_certify(cfg, args) -> dict:
     z_max = None
     if args.zmax != "auto":
         try:
@@ -235,8 +229,7 @@ def _cmd_certify(args) -> dict:
     }
 
 
-def _cmd_resolvent(args) -> dict:
-    cfg = parse_config(args.config)
+def _cmd_resolvent(cfg, args) -> dict:
     zre, zim = _parse_tuple(args.z, 2, "--z")
     z = complex(zre, zim)
     x = _parse_tuple(args.x, 3, "--x")
@@ -256,42 +249,13 @@ def _cmd_resolvent(args) -> dict:
     return out
 
 
-# Scans run in chunks of at most _CHUNK_POINTS points on _WORKERS threads.
+# Scans assemble and factor Gamma in serial chunks of at most this many points.
 _CHUNK_POINTS = 2048
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:
-    _WORKERS = os.cpu_count() or 1
 
 
-def _map_chunks(fn, n: int) -> list:
-    """[fn(slice) for each chunk of range(n)], the chunks run on a thread pool.
-
-    range(n) is cut into the fewest chunks of at most _CHUNK_POINTS points
-    whose count is a multiple of _WORKERS (at most n chunks), of sizes that
-    differ by at most one.  numpy's ufuncs and batched linalg release the GIL,
-    so the chunks run in parallel.  Results come back in chunk order; an
-    exception in any chunk cancels the chunks not yet started and propagates.
-    """
-    count = -(-n // _CHUNK_POINTS)
-    count = min(n, -(-count // _WORKERS) * _WORKERS)
-    slices = [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-    if len(slices) <= 1:
-        return [fn(sl) for sl in slices]
-    # Imported here: at module level it adds about 5 % to the CLI's start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=min(_WORKERS, len(slices)))
-    try:
-        return list(pool.map(fn, slices))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _cmd_scan_det(args) -> dict:
+def _cmd_scan_det(cfg, args) -> dict:
     """The scan's rows are written from its arrays one row at a time, in the
     JSON as the items of an iterator, so no list of rows is ever held."""
-    cfg = parse_config(args.config)
     if not np.isfinite([args.start, args.stop, args.step]).all():
         raise ConfigError("--from, --to and --step must be finite")
     if args.step <= 0.0:
@@ -310,12 +274,11 @@ def _cmd_scan_det(args) -> dict:
     except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded" is a ValueError
         raise ConfigError(f"--from, --to and --step give {count:.3g} points, too many to allocate")
 
-    def scan(sl):
+    for start in range(0, count, _CHUNK_POINTS):
+        sl = slice(start, start + _CHUNK_POINTS)
         gs = model.gamma_stack(cfg, zs[sl])
         dets[sl] = np.linalg.det(gs)
         sigmas[sl] = np.linalg.svd(gs, compute_uv=False)[:, -1]
-
-    _map_chunks(scan, count)
 
     def rows():
         for t, d, s in zip(ts.tolist(), dets.tolist(), sigmas.tolist()):
@@ -431,7 +394,8 @@ def dispatch(argv=None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     try:
-        result = args.func(args)
+        cfg = parse_config(args.config)
+        result = args.func(cfg, args)
     except (ValueError, RuntimeError) as exc:  # ConfigError, SingularMatrixError included
         print(f"deltaspec: error: {exc}", file=sys.stderr)
         return 1

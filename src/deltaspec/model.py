@@ -4,7 +4,7 @@ Units follow hbar = 2m = 1: the operator is the negative Laplacian with N
 zero-range perturbations, the spectral parameter z carries momentum units,
 and energies are z**2.  Every assembly routine below is entire in z (no
 branch cuts) and pure: configurations are immutable values, safe to share
-between concurrent tasks.
+between callers.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class PointConfig:
     `points[j]`; all entries must be finite (a center with no interaction is
     expressed by deleting it, not by an infinite strength).  Centers must be
     pairwise distinct: coincident points are rejected at relative tolerance
-    1e-12 of the configuration scale rather than merged.
+    1e-12 of the configuration scale rather than merged.  Every pairwise
+    distance must be finite: one that overflows is rejected, not computed with.
     """
 
     alpha: np.ndarray
@@ -100,6 +101,10 @@ class PointConfig:
             raise ConfigError(
                 f"coincides with point {iu[k]}", f"/points/{ju[k]}"
             )
+        far = ~np.isfinite(dist[iu, ju])
+        if far.any():
+            k = int(np.flatnonzero(far)[0])
+            raise ConfigError(f"distance between points {iu[k]} and {ju[k]} overflows", "/points")
 
         object.__setattr__(self, "alpha", _frozen(alpha))
         object.__setattr__(self, "points", _frozen(points))
@@ -126,13 +131,16 @@ class PointConfig:
 def green_kernel(z, x, y):
     """Free Helmholtz kernel exp(i z |x-y|) / (4 pi |x-y|).
 
-    Raises SingularityError when x == y.
+    Raises SingularityError when x == y, and ValueError when |x-y| is not finite.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(x - y))
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(x - y))
     if r == 0.0:
         raise SingularityError("green_kernel evaluated at x == y")
+    if not np.isfinite(r):
+        raise ValueError("green_kernel: |x - y| is not finite")
     return complex(np.exp(1j * complex(z) * r) / (FOUR_PI * r))
 
 

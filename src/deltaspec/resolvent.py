@@ -15,9 +15,12 @@ __all__ = [
 
 
 def _green_vector(cfg: PointConfig, z: complex, x: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(cfg.points - x, axis=1)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(cfg.points - x, axis=1)
     if np.any(r == 0.0):
         raise SingularityError("evaluation point coincides with an interaction center")
+    if not np.isfinite(r).all():
+        raise ValueError("distance from the evaluation point to a center is not finite")
     return np.exp(1j * z * r) / (FOUR_PI * r)
 
 

@@ -42,8 +42,8 @@ CLI_IMPORTS = {
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only LAPACK binding; importing scipy.linalg alone would
-    # cost every CLI invocation a few tenths of a second.  concurrent.futures
-    # is imported only when a thread pool runs, for the same start-up cost.
+    # cost every CLI invocation a few tenths of a second.  No CLI path starts a
+    # thread, so concurrent.futures, a start-up cost too, is never imported.
     # Nor does the import load any top-level module beyond CLI_IMPORTS.
     src = str(Path(deltaspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

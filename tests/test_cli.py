@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,26 +267,15 @@ def test_scan_det_imag_axis(tmp_path, capsys):
 
 
 def test_scan_det_chunks_match_one_batch(tmp_path, capsys, monkeypatch):
-    # a scan of many chunks on the thread pool gives the rows of one batch
+    # a scan of many chunks gives the rows of one batch, bit for bit
     path = write_config(tmp_path, [-1.0, 0.5, 2.0], [[0, 0, 0], [1, 0, 0], [0, 0.7, 0.3]])
     argv = ["scan-det", path, "--axis", "real", "--from", "0", "--to", "30", "--step", "0.01"]
     code, out, _ = run(capsys, *argv)
     rows = json.loads(out)["rows"]
     assert code == 0 and len(rows) == 3001 > cli._CHUNK_POINTS
-    # and on a pool of more threads than cores switching often, whose lost
-    # writes would show; every pool joins its threads
-    before = threading.active_count()
-    monkeypatch.setattr(cli, "_WORKERS", 8)
     monkeypatch.setattr(cli, "_CHUNK_POINTS", 37)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        _, stressed, _ = run(capsys, *argv)
-    finally:
-        sys.setswitchinterval(interval)
-    assert json.loads(stressed)["rows"] == rows
-    assert threading.active_count() == before
-    monkeypatch.setattr(cli, "_WORKERS", 1)
+    _, small, _ = run(capsys, *argv)
+    assert json.loads(small)["rows"] == rows
     monkeypatch.setattr(cli, "_CHUNK_POINTS", 10**9)
     _, single, _ = run(capsys, *argv)
     assert json.loads(single)["rows"] == rows
@@ -301,13 +292,51 @@ def test_scan_det_chunk_errors_propagate(tmp_path, capsys, monkeypatch):
         raise FloatingPointError("chunk failed")
 
     path = write_config(tmp_path, [0.5, 0.5], [[0, 0, 0], [1.3, 0, 0]])
-    monkeypatch.setattr(cli, "_WORKERS", 2)
     monkeypatch.setattr(cli.model, "gamma_stack", broken)
-    before = threading.active_count()
     with pytest.raises(FloatingPointError, match="chunk failed"):
         run(capsys, "scan-det", path, "--axis", "real", "--from", "0", "--to", "1",
             "--step", "1e-4")
-    assert calls and threading.active_count() == before
+    assert calls == [cli._CHUNK_POINTS]  # the first chunk failed, and no other ran
+
+
+def test_scan_det_starts_no_thread(tmp_path):
+    # The perfbench tracer keeps one span stack, which is right only while
+    # every CLI path runs on the main thread.  A subprocess, because pytest
+    # itself may import concurrent.futures.
+    path = write_config(tmp_path, [-1.0, 0.5], [[0, 0, 0], [1, 0, 0]])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, sys, threading\n"
+        "from deltaspec.cli import dispatch\n"
+        f"argv = ['scan-det', {path!r}, '--axis', 'real', '--from', '0', '--to', '30',"
+        f" '--step', '0.01', '--out', {str(tmp_path / 'scan.json')!r}]\n"
+        "code = dispatch(argv)\n"
+        "print(json.dumps([code, threading.active_count(), 'concurrent.futures' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0, 1, False]
+    assert len(json.loads((tmp_path / "scan.json").read_text())["rows"]) == 3001
+
+
+def test_overflowing_distance_is_a_config_error(tmp_path, capsys):
+    # |y_1 - y_0| overflows to inf.  Computed with, it would hide the bound
+    # state of the alpha = -1 center at lambda = 4 pi, and classify-zero
+    # would read a label from a NaN Gamma(0).
+    path = write_config(tmp_path, [1.0, -1.0], [[0, 0, 0], [1e200, 1e200, 0]])
+    for command in ("spectrum", "classify-zero"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert "/points: distance between points 0 and 1 overflows" in err
+
+
+def test_resolvent_at_overflowing_distance_is_an_error(tmp_path, capsys):
+    # computed with, the distance from x to a center gives a NaN value
+    path = write_config(tmp_path, [1.0, -1.0], [[0, 0, 0], [1, 0, 0]])
+    code, out, err = run(capsys, "resolvent", path, "--z=1,0", "--x=1e200,1e200,0",
+                         "--xp=0,0,1")
+    assert (code, out) == (1, "")
+    assert "not finite" in err
 
 
 # ---------------------------------------------------------------- emitter

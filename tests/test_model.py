@@ -57,6 +57,13 @@ def test_config_rejects_length_mismatch():
         PointConfig(alpha=[1.0, 2.0], points=[ORIGIN, [1, 0, 0], [2, 0, 0]])
 
 
+def test_config_rejects_overflowing_distance():
+    # both points are finite, but their distance overflows to inf
+    with pytest.raises(ConfigError) as err:
+        PointConfig(alpha=[1.0, -1.0], points=[ORIGIN, [1e200, 1e200, 0]])
+    assert err.value.pointer == "/points"
+
+
 def test_config_is_immutable():
     cfg = two_center_config(1.0, 1.0)
     with pytest.raises(ValueError):
@@ -83,6 +90,11 @@ def test_green_kernel_imaginary_momentum():
 def test_green_kernel_singular_at_coincidence():
     with pytest.raises(SingularityError):
         green_kernel(1.0, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+def test_green_kernel_rejects_overflowing_distance():
+    with pytest.raises(ValueError, match="not finite"):
+        green_kernel(1.0, ORIGIN, [1e200, 1e200, 0])
 
 
 # ---------------------------------------------------------------- gamma assembly

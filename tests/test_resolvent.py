@@ -83,6 +83,16 @@ def test_kernel_rejects_pole_and_coincidence():
         resolvent_kernel(cfg, 1.0 - 0.5j, [1, 0, 0], [0, 1, 0])  # lower half-plane
 
 
+def test_kernel_rejects_overflowing_distance():
+    # the distance from x to a center overflows: computed with, it gives NaN
+    cfg = two_center_config(1.0, 1.0)
+    far = np.array([1e200, 1e200, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        resolvent._green_vector(cfg, 1.0 + 0j, far)
+    with pytest.raises(ValueError, match="not finite"):
+        resolvent_kernel(cfg, 1.0, far, [0.0, 0.0, 1.0])
+
+
 def test_kernel_rejects_scaled_near_pole():
     # Gamma(z) = diag(~1.2e-12, 150): sigma_min is above 1e-12 but not above
     # linalg.SIGMA_FLOOR * max|Gamma|, and the smallest LU pivot is below
