@@ -3,9 +3,9 @@
 Everything is driven by the explicit N x N characteristic matrix Gamma(z):
 its kernel on the positive imaginary axis gives the negative eigenvalues,
 its kernel at 0 classifies the threshold, its complex zeros are the
-resonances, and its non-singularity on the real axis is proved by a
-Lipschitz bound on its smallest singular value plus an analytic
-large-momentum bound.
+resonances, and its non-singularity on the real axis is proved by diagonal
+dominance where every row is dominant, a Lipschitz bound on its smallest
+singular value below that, and an analytic large-momentum bound.
 """
 
 __version__ = "0.1.0"

@@ -220,6 +220,7 @@ def _cmd_certify(cfg, args) -> dict:
         "z_star": cert.z_star,
         "verdict": cert.verdict,
         "k0": cert.k0,
+        "dominance_start": cert.dominance_start,
         "min_margin": cert.min_margin,
         "grid_covers_bound": cert.grid_covers_bound,
         "num_grid_points": int(cert.z_grid.size),

@@ -28,6 +28,7 @@ __all__ = [
     "gamma_pair_stack",
     "gamma_imag_axis",
     "row_sum_bound",
+    "dominance_start",
 ]
 
 
@@ -95,13 +96,14 @@ class PointConfig:
         scale = max(1.0, float(np.abs(points).max()))
         n = alpha.shape[0]
         iu, ju = np.triu_indices(n, k=1)
-        close = dist[iu, ju] <= COINCIDENCE_RTOL * scale
+        pair = dist[iu, ju]
+        close = pair <= COINCIDENCE_RTOL * scale
         if close.any():
             k = int(np.flatnonzero(close)[0])
             raise ConfigError(
                 f"coincides with point {iu[k]}", f"/points/{ju[k]}"
             )
-        far = ~np.isfinite(dist[iu, ju])
+        far = ~np.isfinite(pair)
         if far.any():
             k = int(np.flatnonzero(far)[0])
             raise ConfigError(f"distance between points {iu[k]} and {ju[k]} overflows", "/points")
@@ -109,6 +111,7 @@ class PointConfig:
         object.__setattr__(self, "alpha", _frozen(alpha))
         object.__setattr__(self, "points", _frozen(points))
         object.__setattr__(self, "_distances", _frozen(dist))
+        object.__setattr__(self, "_d_min", float(pair.min()) if n > 1 else None)
 
     @property
     def n(self) -> int:
@@ -122,10 +125,7 @@ class PointConfig:
     @property
     def d_min(self):
         """Minimum pairwise center distance; None for a single center."""
-        if self.n == 1:
-            return None
-        iu, ju = np.triu_indices(self.n, k=1)
-        return float(self._distances[iu, ju].min())
+        return self._d_min
 
 
 def green_kernel(z, x, y):
@@ -212,3 +212,37 @@ def row_sum_bound(cfg: PointConfig) -> float:
     """
     reach = 0.0 if cfg.n == 1 else (cfg.n - 1) / cfg.d_min
     return float(FOUR_PI * np.abs(cfg.alpha).max() + reach)
+
+
+def dominance_start(cfg: PointConfig) -> float:
+    """Where strict diagonal dominance of every row of Gamma(k) starts on the
+    real axis: every row is dominant at every real k >= the result.
+
+    For real k the off-diagonal moduli 1/(4 pi d_jl) do not depend on k, so
+    row j's sum r_j = sum_{l != j} 1/(4 pi d_jl) is fixed while its diagonal
+    |alpha_j - ik/4pi| grows.  Row j counts as dominant at k when
+    |alpha_j - ik/4pi| > r_j (1 + tau): at every k >= 0 when
+    |alpha_j| > r_j (1 + tau), and otherwise at every
+    k > s_j = 4 pi sqrt(r_j^2 (1 + tau)^2 - alpha_j^2), whose next float the
+    row contributes.  The result is 0 exactly when Gamma(0) has every row
+    dominant.  Where every row is, Gamma(k) is invertible (Gershgorin), and
+    sigma_min(Gamma(k)) >= min_j (|alpha_j - ik/4pi| - r_j) by Varah's bound
+    (J. M. Varah, Linear Algebra Appl. 11 (1975) 3-5) on ||Gamma^-1||_inf
+    and, Gamma being symmetric, on ||Gamma^-1||_1.
+
+    tau = 8 N eps covers the rounding.  Each computed 1/(4 pi d_jl) is within
+    about 4 eps of exact (three rounded differences, their squares and sum, a
+    square root, the rounded 4 pi and a reciprocal), so a computed r_j, a sum
+    of N-1 positive terms, is within (N/2 + 4) eps.  The computed diagonal
+    modulus, and s_j taken as 4 pi sqrt((t - |alpha_j|)(t + |alpha_j|)) with
+    t = r_j (1 + tau), are within 4 eps.  As (1 + 8N eps)(1 - 4 eps) exceeds
+    1 + (N/2 + 4) eps, a row dominant by this test is strictly dominant in
+    the exact Gamma(k).
+    """
+    off = cfg.distances + np.diag(np.full(cfg.n, np.inf))  # 1/inf: no diagonal term
+    t = (1.0 / (FOUR_PI * off)).sum(axis=1) * (1.0 + 8 * cfg.n * np.finfo(float).eps)
+    a = np.abs(cfg.alpha)
+    if (a > t).all():
+        return 0.0
+    s = np.nextafter(FOUR_PI * np.sqrt(np.maximum((t - a) * (t + a), 0.0)), np.inf)
+    return float(np.where(a > t, 0.0, s).max())

@@ -19,9 +19,10 @@ power sums s_p of the zeros in a box: s_0 is the count, and a Hankel
 eigenproblem turns the rest into the zeros (Delves & Lyness 1967), polished
 by Newton steps.  Unresolved boxes are quadrisected.
 
-The certificate proves Gamma(k) invertible on the positive real axis: up
-to the analytic large-momentum bound by bisection on a Lipschitz bound of
-sigma_min(Gamma(k)), beyond it by the row-sum estimate itself.
+The certificate proves Gamma(k) invertible on the positive real axis: where
+every row of Gamma(k) is strictly diagonally dominant by Gershgorin's
+theorem, below that by bisection on a Lipschitz bound of sigma_min(Gamma(k)),
+and beyond the analytic large-momentum bound by the row-sum estimate itself.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ _NEWTON_MAX_STEPS = 50
 _RANK_GAP = (1e-11, 1e-7)
 _MULT_TOL = 1e-3
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# Certificate: z_star = row-sum bound + margin.
+# Certificate: z_star = row-sum bound + margin; the bisection stops, leaving
+# its open intervals uncovered, before it would pass this many evaluations.
 CERTIFY_MARGIN = 1.0
+CERTIFY_BUDGET = 2 ** 16
 
 logger = logging.getLogger(__name__)
 
@@ -504,17 +507,22 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
 class Certificate:
     """Proof that Gamma(k) is invertible for every real k >= k0: sigma_min at
     the ascending nodes z_grid of a bisection of [k0, z_star], each interval
-    between neighbours proved by the Lipschitz bound of certify_real_axis,
+    between neighbours proved by diagonal dominance when it starts at or
+    above dominance_start, else by the Lipschitz bound of certify_real_axis,
     and the row-sum bound above z_star.  The verdict is true when the nodes
     reach z_star and no interval is `uncovered` (left unproved when its
-    midpoint rounded onto an end); (0, k0) is never proved.  `min_margin` is
-    the smallest margin of the final intervals, None without one."""
+    midpoint rounded onto an end, or open when the bisection reached
+    CERTIFY_BUDGET evaluations); (0, k0) is never proved.  `min_margin` is
+    the smallest margin of the intervals the Lipschitz bound proved, None
+    without one; `dominance_start` is model.dominance_start, None if not
+    finite."""
 
     z_grid: np.ndarray
     sigma_min: np.ndarray
     z_star: float
     verdict: bool
     k0: float
+    dominance_start: float | None
     min_margin: float | None
     uncovered: list[tuple[float, float]]
 
@@ -528,19 +536,29 @@ def _sigma_min(cfg: PointConfig, ks: np.ndarray) -> np.ndarray:
 
 
 def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certificate:
-    """Prove Gamma(k) invertible for every real k >= k0: by bisection on
-    [k0, top], top = z_max or z_star, and by the row-sum bound above z_star.
+    """Prove Gamma(k) invertible for every real k >= k0: by diagonal dominance
+    from model.dominance_start on, by bisection on [k0, top] below it,
+    top = z_max or z_star, and by the row-sum bound above z_star.
 
     z_star = 4 pi max|alpha| + (N-1)/d_min + CERTIFY_MARGIN: above it the
-    diagonal -ik/4pi dominates every row.  Below it every entry of Gamma'(k)
-    has modulus 1/4pi, so ||Gamma'(k)||_2 <= ||Gamma'(k)||_F = N/4pi = L, and
-    by Weyl's inequality sigma_min(Gamma(k)) is L-Lipschitz.  An interval
-    between nodes k_i < k_j is proved when its margin
-    (sigma_i + sigma_j - 2 rho) / (L (k_j - k_i)) exceeds 1, rho bounding the
-    rounding of each computed sigma_min.  Each level evaluates the midpoints
-    of all intervals not yet proved with one batched SVD; an interval whose
-    midpoint rounds onto an end is uncovered.  The work grows like the
-    integral of L / sigma_min over [k0, top].
+    diagonal -ik/4pi dominates every row.  An interval [a, b] between nodes is
+    proved when a >= dominance_start: every row of Gamma(k) is then strictly
+    dominant on [a, b], with a margin tau = 8 N eps that covers the rounding
+    of the test, so Gamma(k) is invertible by Gershgorin's theorem and
+    sigma_min(Gamma(k)) >= min_j (|alpha_j - ik/4pi| - r_j) > 0 by Varah's
+    bound (both argued in model.dominance_start).  When all of [k0, top] is
+    dominant, its two end nodes are evaluated and nothing else.
+
+    Below dominance_start every entry of Gamma'(k) has modulus 1/4pi, so
+    ||Gamma'(k)||_2 <= ||Gamma'(k)||_F = N/4pi = L, and by Weyl's inequality
+    sigma_min(Gamma(k)) is L-Lipschitz.  An interval between nodes k_i < k_j
+    is proved when its margin (sigma_i + sigma_j - 2 rho) / (L (k_j - k_i))
+    exceeds 1, rho bounding the rounding of each computed sigma_min.  Each
+    level evaluates the midpoints of all intervals not yet proved with one
+    batched SVD; an interval whose midpoint rounds onto an end is uncovered,
+    and so is every interval still open when the next level would take the
+    evaluations past CERTIFY_BUDGET.  The work grows like the integral of
+    L / sigma_min over [k0, min(top, dominance_start)].
 
     k0 = 0 when classify_zero says Regular.  Otherwise sigma_min vanishes at
     0 (like c k for a zero resonance, c k^2 for a zero eigenvalue) and k0 is
@@ -552,8 +570,9 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
     eps k/8pi <= eps |Gamma_jj| / 2 through the phase k d, at most
     (3 + N/2) eps R in 2-norm for the exactly symmetric matrix; LAPACK's SVD
     is exact for a matrix within p(N) eps R, p(N) of order N.  One DEBUG line
-    per call gives the levels, evaluations, smallest margin, k0 and
-    uncovered intervals.
+    per call gives k0, top, dominance_start, the levels, evaluations,
+    smallest margin, the intervals uncovered by rounding and any left open at
+    the budget.
     """
     if z_max is not None and not (np.isfinite(z_max) and z_max > 0.0):
         raise ValueError("certify_real_axis requires a finite z_max > 0")
@@ -562,41 +581,53 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
     if spectral.classify_zero(cfg).label != spectral.REGULAR:
         k0 = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
     top = max(z_star if z_max is None else z_max, k0)
-    lip = cfg.n / FOUR_PI
-    row_sum = float(np.abs(model.gamma_stack(cfg, top)).sum(axis=1).max())
-    rho = 8 * cfg.n * np.finfo(float).eps * row_sum
+    dominant = model.dominance_start(cfg)
 
     ks = np.unique([k0, top])
     sigma = _sigma_min(cfg, ks)
     nodes, values = [ks], [sigma]
-    a, b, sa, sb = ks[:-1], ks[1:], sigma[:-1], sigma[1:]
-    margins, uncovered = [], []
-    while a.size:
-        margin = (sa + sb - 2.0 * rho) / (lip * (b - a))
-        mid = 0.5 * (a + b)
-        open_ = ~(margin > 1.0)
-        stuck = open_ & ((mid <= a) | (mid >= b))
-        margins.append(margin[~open_ | stuck])
-        uncovered += zip(a[stuck].tolist(), b[stuck].tolist())
-        idx = np.flatnonzero(open_ & ~stuck)
-        if idx.size == 0:
-            break
-        mid = mid[idx]
-        sm = _sigma_min(cfg, mid)
-        nodes.append(mid)
-        values.append(sm)
-        a, b = _pairs(a[idx], mid), _pairs(mid, b[idx])
-        sa, sb = _pairs(sa[idx], sm), _pairs(sm, sb[idx])
+    margins, stuck_at, left_open = [np.empty(0)], [], []
+    if k0 < dominant:
+        lip = cfg.n / FOUR_PI
+        row_sum = float(np.abs(model.gamma_stack(cfg, top)).sum(axis=1).max())
+        rho = 8 * cfg.n * np.finfo(float).eps * row_sum
+        a, b, sa, sb = ks[:-1], ks[1:], sigma[:-1], sigma[1:]
+        evaluations = ks.size
+        while a.size:
+            margin = (sa + sb - 2.0 * rho) / (lip * (b - a))
+            mid = 0.5 * (a + b)
+            below = a < dominant
+            lipschitz = below & (margin > 1.0)
+            open_ = below & ~(margin > 1.0)
+            stuck = open_ & ((mid <= a) | (mid >= b))
+            margins.append(margin[lipschitz])
+            stuck_at += zip(a[stuck].tolist(), b[stuck].tolist())
+            idx = np.flatnonzero(open_ & ~stuck)
+            if idx.size == 0:
+                break
+            if evaluations + idx.size > CERTIFY_BUDGET:
+                left_open = list(zip(a[idx].tolist(), b[idx].tolist()))
+                break
+            mid = mid[idx]
+            sm = _sigma_min(cfg, mid)
+            evaluations += idx.size
+            nodes.append(mid)
+            values.append(sm)
+            a, b = _pairs(a[idx], mid), _pairs(mid, b[idx])
+            sa, sb = _pairs(sa[idx], sm), _pairs(sm, sb[idx])
 
     order = np.argsort(np.concatenate(nodes))
     ks, sigma = np.concatenate(nodes)[order], np.concatenate(values)[order]
     margins = np.concatenate(margins)
     min_margin = float(margins.min()) if margins.size else None
     logger.debug(
-        "certificate from k0 = %g to %g: %d levels, %d evaluations, min margin %s, "
-        "uncovered %s",
-        k0, top, len(nodes) - 1, ks.size, min_margin, uncovered,
+        "certificate from k0 = %g to %g, dominant from %g: %d levels, %d evaluations, "
+        "min margin %s, uncovered %s%s",
+        k0, top, dominant, len(nodes) - 1, ks.size, min_margin, stuck_at,
+        f", {len(left_open)} intervals left open at the budget of {CERTIFY_BUDGET} "
+        "evaluations" if left_open else "",
     )
+    uncovered = stuck_at + left_open
     ks.setflags(write=False)
     sigma.setflags(write=False)
     return Certificate(
@@ -605,6 +636,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         z_star=z_star,
         verdict=bool(ks[-1] >= z_star) and not uncovered,
         k0=k0,
+        dominance_start=dominant if np.isfinite(dominant) else None,
         min_margin=min_margin,
         uncovered=uncovered,
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FOUR_PI, PointConfig, gamma_imag_axis, row_sum_bound
+from .model import FOUR_PI, PointConfig, dominance_start, gamma_imag_axis, row_sum_bound
 
 REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
@@ -321,9 +321,18 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     square-integrable state exactly when its entries sum to zero (the 1/|x|
     tails of the constituent kernels then cancel).  Both the kernel structure
     and the label are reported, never conflated.
+
+    The kernel is the eigenvectors of Gamma(0) whose eigenvalues are within
+    tol of its largest in modulus.  A Gamma(0) whose rows are all strictly
+    diagonally dominant, dominance_start(cfg) == 0, is Regular at every tol
+    without an eigh: by Varah's bound its smallest singular value is at least
+    min_j (|alpha_j| - r_j) > 0, with the rounding argued in dominance_start,
+    however small that is next to its largest eigenvalue.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("classify_zero requires a finite tol > 0")
+    if dominance_start(cfg) == 0.0:
+        return ZeroClassification(0, 0, False, REGULAR, [])
     # Gamma(0) is exactly symmetric, since cfg.distances is, so eigh, which
     # reads one triangle, sees all of it.
     values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, 0.0))

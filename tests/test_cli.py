@@ -193,9 +193,18 @@ def test_certify_with_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", path, "--zmax", "auto")
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] > 1.0
+    # every row is dominant at every k >= 0: no bisection, no margin
+    assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] is None
+    assert doc["dominance_start"] == 0.0 and doc["z_grid"] == [0.0, doc["z_star"]]
     assert doc["z_star"] == pytest.approx(FOUR_PI + 2.0)
-    assert len(doc["z_grid"]) == len(doc["sigma_min"]) == doc["num_grid_points"]
+    # alpha = 0.02: the bisection runs below dominance_start ~ 0.968
+    path = write_config(tmp_path, [0.02, 0.02], [[0, 0, 0], [1.0, 0, 0]])
+    code, out, _ = run(capsys, "certify", path, "--zmax", "auto")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] > 1.0
+    assert 0.96 < doc["dominance_start"] < 0.97
+    assert len(doc["z_grid"]) == len(doc["sigma_min"]) == doc["num_grid_points"] > 2
     assert doc["z_grid"] == sorted(doc["z_grid"])
     assert doc["min_sigma_min"] == min(doc["sigma_min"])
     k, sigma = doc["z_grid"][1], doc["sigma_min"][1]
@@ -212,9 +221,34 @@ def test_certify_numeric_zmax(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", path, "--zmax", "2.0")
     assert code == 0
     doc = json.loads(out)
-    assert doc["z_grid"][-1] == 2.0 and doc["min_margin"] > 1.0
+    assert doc["z_grid"] == [0.0, 2.0] and doc["min_margin"] is None
+    assert doc["dominance_start"] == 0.0
     assert doc["grid_covers_bound"] is False
     assert doc["verdict"] is False  # the proof stops short of the analytic bound
+    path = write_config(tmp_path, [0.02, 0.02], [[0, 0, 0], [1.0, 0, 0]])
+    code, out, _ = run(capsys, "certify", path, "--zmax", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["z_grid"][-1] == 0.5 and doc["min_margin"] > 1.0
+    assert doc["dominance_start"] > 0.5
+    assert doc["grid_covers_bound"] is False
+    assert doc["verdict"] is False
+
+
+def test_graded_dominant_config_is_regular_and_certified(tmp_path, capsys):
+    # alpha = (1e15, -1) at distance 1: every row of Gamma(0) is dominant, so
+    # the threshold is Regular although the eigenvalue -1 is below 1e-10 of
+    # the largest, and dominance proves the whole axis from two evaluations
+    path = write_config(tmp_path, [1e15, -1], [[0, 0, 0], [1, 0, 0]])
+    code, out, _ = run(capsys, "certify", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["num_grid_points"] == 2
+    assert doc["dominance_start"] == 0.0 and doc["min_margin"] is None
+    code, out, _ = run(capsys, "classify-zero", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["label"] == "Regular" and doc["kernel_dim"] == 0
 
 
 def test_resolvent_subcommand(tmp_path, capsys):

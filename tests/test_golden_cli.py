@@ -9,7 +9,9 @@ deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.p
 it prints which jobs changed, for a `resonances` job what changed in its
 roots, for a `spectrum` job what changed in its records and their
 coefficient vectors (up to sign, and which flipped), for a `certify` job
-what changed in its keys, grid, verdict and sigma_min, and for a `laurent` job
+what changed in its keys, verdict, min_margin and grid, its dominance start, whether the
+new nodes are a subset of the old, and sigma_min on the nodes both share, and
+for a `laurent` job
 what changed in its keys, parameters, nodes and coefficients, before writing
 the new corpus.
 """
@@ -174,20 +176,28 @@ def resolvent_changes(old: bytes, new: bytes) -> list[str]:
 
 def certify_changes(old: bytes, new: bytes) -> list[str]:
     """What changed between two outputs of a `certify` job: removed and new
-    keys, the grid, the verdict, and the largest |dsigma_min| on an unchanged
-    grid."""
+    keys, the verdict, min_margin, the new dominance start, the grid and whether its new
+    nodes are a subset of the old, and the largest |dsigma_min| on the nodes
+    both grids share."""
     a, b = json.loads(old), json.loads(new)
     lines = [f"removed key {k}" for k in a if k not in b]
     lines += [f"new key {k}" for k in b if k not in a]
     if a["verdict"] != b["verdict"]:
         lines.append(f"verdict: {a['verdict']} -> {b['verdict']}")
+    if a["min_margin"] != b["min_margin"]:
+        lines.append(f"min_margin: {a['min_margin']!r} -> {b['min_margin']!r}")
+    if "dominance_start" in b:
+        lines.append(f"dominance_start = {b['dominance_start']!r}")
+    old_sigma = dict(zip(a["z_grid"], a["sigma_min"]))
+    shared = [(old_sigma[k], s) for k, s in zip(b["z_grid"], b["sigma_min"]) if k in old_sigma]
     if a["z_grid"] != b["z_grid"]:
-        lines.append(f"z_grid changed: {len(a['z_grid'])} -> {len(b['z_grid'])} points")
-    else:
-        dsigma = max(
-            (abs(p - q) for p, q in zip(a["sigma_min"], b["sigma_min"])), default=0.0
+        subset = "a subset" if len(shared) == len(b["z_grid"]) else "not a subset"
+        lines.append(
+            f"z_grid changed: {len(a['z_grid'])} -> {len(b['z_grid'])} points, "
+            f"{subset} of the old"
         )
-        lines.append(f"max |dsigma_min| = {dsigma:.3g} over {len(b['z_grid'])} points")
+    dsigma = max((abs(p - q) for p, q in shared), default=0.0)
+    lines.append(f"max |dsigma_min| = {dsigma:.3g} over {len(shared)} shared points")
     return lines
 
 
@@ -214,10 +224,12 @@ def test_spectrum_changes_report():
 
 
 def test_certify_changes_report():
-    old = (GOLDEN / "n2-certify.json").read_bytes()
+    old = (GOLDEN / "n3-certify.json").read_bytes()
     doc = json.loads(old)
-    size = len(doc["z_grid"])
-    assert certify_changes(old, old) == [f"max |dsigma_min| = 0 over {size} points"]
+    size, start = len(doc["z_grid"]), doc["dominance_start"]
+    assert certify_changes(old, old) == [
+        f"dominance_start = {start!r}", f"max |dsigma_min| = 0 over {size} shared points"
+    ]
     doc["sigma_min"][1] += 2.0 ** -40  # exact on a sigma_min below 2**12
     doc["verdict"] = not doc["verdict"]
     doc["extra"] = doc.pop("min_sigma_min")
@@ -225,12 +237,20 @@ def test_certify_changes_report():
         "removed key min_sigma_min",
         "new key extra",
         f"verdict: {not doc['verdict']} -> {doc['verdict']}",
-        f"max |dsigma_min| = {2.0 ** -40:.3g} over {size} points",
+        f"dominance_start = {start!r}",
+        f"max |dsigma_min| = {2.0 ** -40:.3g} over {size} shared points",
     ]
-    doc["z_grid"].pop()
-    assert certify_changes(old, json.dumps(doc).encode())[-1] == (
-        f"z_grid changed: {size} -> {size - 1} points"
-    )
+    doc["z_grid"].pop(0)
+    doc["sigma_min"].pop(0)
+    assert certify_changes(old, json.dumps(doc).encode())[-2:] == [
+        f"z_grid changed: {size} -> {size - 1} points, a subset of the old",
+        f"max |dsigma_min| = {2.0 ** -40:.3g} over {size - 1} shared points",
+    ]
+    doc["z_grid"][0] += 2.0 ** -40
+    assert certify_changes(old, json.dumps(doc).encode())[-2:] == [
+        f"z_grid changed: {size} -> {size - 1} points, not a subset of the old",
+        f"max |dsigma_min| = 0 over {size - 2} shared points",
+    ]
 
 
 def laurent_changes(old: bytes, new: bytes) -> list[str]:

@@ -12,7 +12,7 @@ from deltaspec import (
     gamma_stack,
     green_kernel,
 )
-from deltaspec.model import FOUR_PI, gamma_imag_axis, row_sum_bound
+from deltaspec.model import FOUR_PI, dominance_start, gamma_imag_axis, row_sum_bound
 from sinc import sinc, sinc_gram
 from sphere import sphere_points
 
@@ -27,6 +27,16 @@ def test_config_basic_fields():
     assert cfg.n == 2
     assert cfg.d_min == pytest.approx(2.0)
     assert cfg.distances[0, 1] == pytest.approx(2.0)
+
+
+def test_config_keeps_d_min_from_the_coincidence_check(monkeypatch):
+    cfg = random_config(np.random.default_rng(3), 6)
+    expect = min(
+        np.linalg.norm(p - q) for i, p in enumerate(cfg.points) for q in cfg.points[i + 1:]
+    )
+    monkeypatch.setattr(np, "triu_indices", None)  # d_min reads a stored value
+    assert cfg.d_min == pytest.approx(expect, rel=1e-15)
+    assert isinstance(cfg.d_min, float)
 
 
 def test_config_single_center_has_no_dmin():
@@ -322,3 +332,47 @@ def test_sinc_sphere_average_fibonacci_and_uniform():
 def test_row_sum_bound_value():
     cfg = two_center_config(1.0, 1.0)
     assert row_sum_bound(cfg) == pytest.approx(FOUR_PI + 1.0)
+
+
+def off_diagonal_sums(cfg) -> np.ndarray:
+    """r_j = sum over l != j of 1/(4pi |y_j - y_l|), from the points alone."""
+    return np.array([
+        sum(1.0 / (FOUR_PI * np.linalg.norm(p - q)) for q in np.delete(cfg.points, j, 0))
+        for j, p in enumerate(cfg.points)
+    ])
+
+
+def test_varah_bound_holds_wherever_every_row_is_dominant():
+    # random configs, most strengths at or near +-r_j: at 500 random k each,
+    # wherever dominance_start says every row is dominant, every row is in
+    # exact terms, and an independent SVD is at least Varah's
+    # min_j (|Gamma_jj(k)| - r_j), less the SVD's own rounding
+    rng = np.random.default_rng(2602)
+    eps = np.finfo(float).eps
+    starts = []
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        cfg = random_config(rng, n, radius=2.0, min_dist=0.3)
+        r = off_diagonal_sums(cfg)
+        near = r * rng.choice([-1.0, 1.0], size=n)
+        near *= 1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-3, -1e-3, -0.5], size=n)
+        alpha = np.where(rng.uniform(size=n) < 0.7, near, cfg.alpha) if n > 1 else cfg.alpha
+        cfg = PointConfig(alpha=alpha, points=cfg.points)
+        start = dominance_start(cfg)
+        starts.append(start)
+        ks = np.append(rng.uniform(0.0, 2.0 * start + 1.0, size=499), start)
+        ks = ks[ks >= start]
+        diag = np.abs(cfg.alpha - 1j * ks[:, None] / FOUR_PI)
+        assert np.all(diag > r)
+        g = gamma_stack(cfg, ks)
+        sigma = np.linalg.svd(g, compute_uv=False)[:, -1]
+        rounding = 8 * n * eps * np.abs(g).sum(axis=2).max(axis=1)
+        assert np.all(sigma >= (diag - r).min(axis=1) - rounding)
+        if start > 0.0:
+            # and the start is sharp: at half of it some row is not dominant
+            # with the margin 8 N eps
+            diag = np.abs(cfg.alpha - 0.5j * start / FOUR_PI)
+            assert np.any(diag <= r * (1.0 + 8 * n * eps))
+    starts = np.array(starts)
+    assert (starts == 0.0).sum() >= 5 and ((starts > 0.0) & (starts < 1e-4)).sum() >= 5
+

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 from collections import Counter
@@ -13,6 +14,7 @@ from deltaspec import (
     count_zeros_in_box,
     find_resonances,
 )
+from deltaspec import model, spectral
 from deltaspec.model import FOUR_PI, gamma_stack
 from deltaspec.resonance import (
     _GL_W,
@@ -31,6 +33,7 @@ from deltaspec.resonance import (
 )
 import deltaspec.resonance as resonance
 from sinc import sinc_gram
+from test_golden_cli import _configs as golden_configs
 from sphere import (
     distinct_direction,
     exp_sum_on_sphere,
@@ -502,12 +505,27 @@ def rounding_term(cfg, cert) -> float:
     return 8 * cfg.n * np.finfo(float).eps * row_sum
 
 
+# alpha = 0.02 at distance 1: Gamma(0) is Regular, but no row is dominant
+# below k = 4pi sqrt(r^2 - alpha^2) ~ 0.968, r = 1/4pi, so the Lipschitz
+# bisection proves [0, 0.968) and dominance the rest
+def lipschitz_config():
+    return two_center_config(0.02, 1.0)
+
+
 def test_certificate_two_center_example():
+    # every row dominant at every k >= 0: the two end nodes and nothing else
     cfg = two_center_config(1.0, 1.0)
     cert = certify_real_axis(cfg)
     assert cert.z_star == pytest.approx(FOUR_PI + 2.0)
     assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == []
     assert cert.grid_covers_bound
+    assert cert.dominance_start == 0.0 and cert.min_margin is None
+    np.testing.assert_array_equal(cert.z_grid, [0.0, cert.z_star])
+    cfg = lipschitz_config()
+    cert = certify_real_axis(cfg)
+    assert cert.z_star == pytest.approx(0.02 * FOUR_PI + 2.0)
+    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == []
+    assert cert.dominance_start == pytest.approx(4 * np.pi * np.sqrt(1 / FOUR_PI ** 2 - 0.02 ** 2))
     assert cert.min_margin > 1.0
     # the Gram matrix is SPD at the nodes
     np.linalg.cholesky(sinc_gram(cfg, cert.z_grid[cert.z_grid > 0.0]))
@@ -564,7 +582,14 @@ def test_certificate_gram_spd_implies_invertible():
 def test_certificate_short_grid_fails_coverage():
     cfg = one_center(1.0)
     cert = certify_real_axis(cfg, z_max=1.0)
-    assert cert.z_grid[-1] == 1.0 and cert.min_margin > 1.0  # [0, 1] is proved
+    # [0, 1] is proved by dominance
+    np.testing.assert_array_equal(cert.z_grid, [0.0, 1.0])
+    assert cert.dominance_start == 0.0 and cert.min_margin is None
+    assert not cert.grid_covers_bound
+    assert not cert.verdict
+    cert = certify_real_axis(lipschitz_config(), z_max=0.5)
+    assert cert.z_grid[-1] == 0.5 and cert.min_margin > 1.0  # [0, 0.5] is proved
+    assert cert.dominance_start > 0.5 and cert.uncovered == []
     assert not cert.grid_covers_bound
     assert not cert.verdict
     for z_max in (0.0, -1.0, np.nan, np.inf):
@@ -586,9 +611,14 @@ def test_certificate_large_n_gram_precision_exhaustion():
 
 
 def test_certificate_grid_spans_interval():
-    # the nodes run from k0 to z_star, and the margins recomputed from them
-    # prove every interval between neighbours
+    # the nodes run from k0 to z_star; the margins recomputed from them prove
+    # every interval between neighbours that starts below dominance_start, and
+    # Varah's bound is positive on the rest
     cfg = two_center_config(0.5, 1.3)
+    cert = certify_real_axis(cfg)
+    np.testing.assert_array_equal(cert.z_grid, [0.0, cert.z_star])
+    assert cert.dominance_start == 0.0 and cert.min_margin is None
+    cfg = lipschitz_config()
     cert = certify_real_axis(cfg)
     assert cert.z_grid[0] == cert.k0 == 0.0
     assert cert.z_grid[-1] == cert.z_star
@@ -596,7 +626,11 @@ def test_certificate_grid_spans_interval():
     assert np.all(steps > 0.0)
     rho = rounding_term(cfg, cert)
     margin = (cert.sigma_min[:-1] + cert.sigma_min[1:] - 2 * rho) / (cfg.n / FOUR_PI * steps)
-    assert margin.min() == cert.min_margin > 1.0
+    below = cert.z_grid[:-1] < cert.dominance_start
+    assert 0 < below.sum() < below.size
+    assert margin[below].min() == cert.min_margin > 1.0
+    ks = cert.z_grid[:-1][~below]
+    assert np.all(np.hypot(0.02, ks / FOUR_PI) > 1 / FOUR_PI)
 
 
 def test_certificate_zero_resonance_starts_at_k0(caplog):
@@ -609,37 +643,149 @@ def test_certificate_zero_resonance_starts_at_k0(caplog):
     assert f"{cert.z_grid.size} evaluations" in line and line.endswith("uncovered []")
 
 
-@pytest.mark.parametrize("d, most", [(1.0, 400), (0.3, 4000)])
-def test_certificate_zero_eigenvalue_starts_at_k0(d, most):
+@pytest.mark.parametrize("d", [1.0, 0.3])
+def test_certificate_zero_eigenvalue_starts_at_k0(d):
     # alpha = -1/(4pi d): Gamma(0) has the kernel (1, -1), a zero eigenvalue,
-    # and sigma_min grows like k^2 from 0
+    # and sigma_min grows like k^2 from 0.  |alpha| = r, so no row is dominant
+    # at 0, and every row is from k ~ 4pi r sqrt(2 tau) ~ 1e-7 / d on:
+    # dominance proves [k0, z_star] from its two ends
     cfg = two_center_config(-1.0 / (FOUR_PI * d), d)
+    assert spectral.classify_zero(cfg).label == spectral.ZERO_EIGENVALUE
     cert = certify_real_axis(cfg)
     assert cert.k0 == cert.z_grid[0] == 1e-2 * min(1.0, d)
+    assert 0.0 < cert.dominance_start < 1e-6 / d
+    assert cert.verdict and cert.min_margin is None
+    np.testing.assert_array_equal(cert.z_grid, [cert.k0, cert.z_star])
+
+
+@pytest.mark.parametrize("d, most", [(1.0, 600), (0.3, 6000)])
+def test_certificate_zero_eigenvalue_below_dominance(d, most):
+    # an equilateral triangle of side d with alpha = -1/(4pi d): Gamma(0) is
+    # alpha I - (J - I)/(4pi d), zero on the zero-sum vectors, and no row is
+    # dominant below k = sqrt(3)/d, so the bisection crawls up from k0
+    third = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0]) * d
+    cfg = PointConfig(alpha=[-1.0 / (FOUR_PI * d)] * 3,
+                      points=[ORIGIN, [d, 0.0, 0.0], third])
+    assert spectral.classify_zero(cfg).label == spectral.ZERO_EIGENVALUE
+    cert = certify_real_axis(cfg)
+    assert cert.k0 == cert.z_grid[0] == 1e-2 * min(1.0, cfg.d_min)
+    assert cert.dominance_start == pytest.approx(np.sqrt(3.0) / d)
     assert cert.verdict and cert.min_margin > 1.0
     assert cert.z_grid.size <= most
 
 
 def test_certificate_reports_an_interval_it_cannot_prove(monkeypatch, caplog):
-    # a sigma_min that vanishes at c: the intervals near c, where it falls
-    # below the rounding term, halve until their midpoint rounds onto an end,
-    # and are reported uncovered
-    cfg = two_center_config(1.0, 1.0)
-    c, lip = 2.0 / 3.0, cfg.n / FOUR_PI
-    true_sigma = resonance._sigma_min
+    # a sigma_min that vanishes at c, below dominance_start: the intervals
+    # near c, where it falls below the rounding term, halve until their
+    # midpoint rounds onto an end, and are reported uncovered; the margins of
+    # the intervals the Lipschitz bound proved all exceed 1
+    c, true_sigma = 2.0 / 3.0, resonance._sigma_min
 
     def dented(cfg, ks):
-        return np.minimum(true_sigma(cfg, ks), 0.5 * lip * np.abs(ks - c))
+        return np.minimum(true_sigma(cfg, ks), 0.5 * cfg.n / FOUR_PI * np.abs(ks - c))
 
     monkeypatch.setattr(resonance, "_sigma_min", dented)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
-        cert = certify_real_axis(cfg)
+        cert = certify_real_axis(lipschitz_config())
+    assert cert.dominance_start > c
     lo, hi = np.array(cert.uncovered).T
     assert lo.size and np.all(hi == np.nextafter(lo, np.inf))
     assert np.all(np.abs(lo - c) < 1e-12) and np.any((lo <= c) & (c <= hi))
     assert not cert.verdict and cert.grid_covers_bound
-    assert cert.min_margin < 1.0
+    assert cert.min_margin > 1.0
     assert any(m.endswith(f"uncovered {cert.uncovered}") for m in caplog.messages)
+    # where every row is dominant, the proof reads sigma_min at the ends only
+    cert = certify_real_axis(two_center_config(1.0, 1.0))
+    assert cert.verdict and cert.z_grid.size == 2 and cert.uncovered == []
+
+
+# The graded configs of a zero-sum threshold plus one strength of 1e12..1e15:
+# rho = 8 N eps max row sum of |Gamma| exceeds sigma_min on an interval
+# below dominance_start that no level can prove.
+GRADED = [(1e15, 0.01, 0.02), (1e12, 1e15, 0.0, 0.01), (1e13, 0.01, 0.02)]
+
+
+@pytest.mark.parametrize("alpha", GRADED)
+def test_certificate_stops_at_the_evaluation_budget(alpha, caplog):
+    points = [[0.7 * i, 0.4 * (i % 2), 0.0] for i in range(len(alpha))]
+    cfg = PointConfig(alpha=alpha, points=points)
+    with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
+        cert = certify_real_axis(cfg)
+    assert not cert.verdict and cert.grid_covers_bound
+    assert cert.z_grid.size <= resonance.CERTIFY_BUDGET
+    [line] = [m for m in caplog.messages if m.startswith("certificate from")]
+    left = int(re.search(r", (\d+) intervals left open at the budget of 65536 ", line)[1])
+    assert 0 < left <= len(cert.uncovered)
+    # every interval left open starts below dominance_start
+    assert max(a for a, _ in cert.uncovered) < cert.dominance_start
+
+
+def test_certificate_of_a_dominant_graded_config_takes_two_evaluations():
+    # rho exceeds sigma_min near 0 here too, but every row is dominant at 0
+    cfg = PointConfig(alpha=[1e15, -1.0], points=[ORIGIN, [1.0, 0.0, 0.0]])
+    cert = certify_real_axis(cfg)
+    assert cert.verdict and cert.k0 == 0.0 and cert.dominance_start == 0.0
+    np.testing.assert_array_equal(cert.z_grid, [0.0, cert.z_star])
+
+
+def certificate_digest(cert) -> str:
+    h = hashlib.sha256(cert.z_grid.tobytes() + cert.sigma_min.tobytes())
+    h.update(repr((cert.verdict, cert.k0, cert.min_margin, cert.uncovered)).encode())
+    return h.hexdigest()[:16]
+
+
+def subset_configs() -> dict:
+    """Name -> (config, z_max): the golden CLI corpus at its certify z_max,
+    and 20 random configs, some with strengths small enough to bisect."""
+    cases = {name.removesuffix(".json"): (cfg, 1.0 if name.startswith("n40") else None)
+             for name, cfg in golden_configs().items()}
+    rng = np.random.default_rng(2026)
+    for i in range(20):
+        n = int(rng.integers(1, 9))
+        scale = float(rng.choice([0.05, 0.5, 5.0]))
+        cases[f"r{i:02d}"] = (
+            random_config(rng, n, radius=2.0, min_dist=0.3, alpha_scale=scale), None
+        )
+    return cases
+
+
+# certificate_digest of the Lipschitz bisection alone, which certified the
+# whole of [k0, top] before dominance was used
+BISECTION_DIGESTS = {
+    "n2": "8534f23825a03065", "n3": "26db203f38e45289", "n5": "24b1bd5b4c3b0ec3",
+    "n40": "3cebec5f22754b9b", "n40b": "03cb36f8fe21f7bd", "r00": "b73b8be9714fda9d",
+    "r01": "fb54fd6d055364e7", "r02": "dac08abe79ccaac6", "r03": "9e088b486e22f833",
+    "r04": "fb4c2106c97f757c", "r05": "08baa7216974f964", "r06": "f2208a14dccd823a",
+    "r07": "21ac73fbc01fc5c3", "r08": "d092db7554edbb5d", "r09": "7ef067928c8c8470",
+    "r10": "4ab431c6932c750d", "r11": "b1cf7618caf75f62", "r12": "4d8ea469109a755d",
+    "r13": "30eaaafbb4ce1e25", "r14": "7efb6031c849705b", "r15": "7ff8d7cde179caa9",
+    "r16": "62987603ecd6d2f1", "r17": "ce37fe5d4f59de49", "r18": "d8f949cb749e81d5",
+    "r19": "3b031000320ad14a",
+}
+
+
+def test_dominance_only_drops_bisection_nodes(monkeypatch):
+    # with no dominance the certificate is the plain bisection's, bit for bit;
+    # with it the nodes are a subset of those, with the same values and verdict
+    cases = subset_configs()
+    assert sorted(cases) == sorted(BISECTION_DIGESTS)
+    full = {name: certify_real_axis(cfg, z_max=z_max) for name, (cfg, z_max) in cases.items()}
+    with monkeypatch.context() as m:
+        for module in (model, spectral):
+            m.setattr(module, "dominance_start", lambda cfg: np.inf)
+        bisected = {name: certify_real_axis(cfg, z_max=z_max)
+                    for name, (cfg, z_max) in cases.items()}
+    fewer = 0
+    for name, cert in full.items():
+        ref = bisected[name]
+        assert certificate_digest(ref) == BISECTION_DIGESTS[name], name
+        assert ref.dominance_start is None
+        keep = np.isin(ref.z_grid, cert.z_grid)
+        assert keep.sum() == cert.z_grid.size, name
+        np.testing.assert_array_equal(ref.sigma_min[keep], cert.sigma_min)
+        assert (cert.verdict, cert.k0) == (ref.verdict, ref.k0), name
+        fewer += cert.z_grid.size < ref.z_grid.size
+    assert fewer >= 15
 
 
 # ---------------------------------------------------------------- quadratic form
