@@ -14,7 +14,6 @@ from .model import (
     ConfigError,
     PointConfig,
     SingularityError,
-    gamma_pair_stack,
     gamma_stack,
     green_kernel,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "PointConfig",
     "green_kernel",
     "gamma_stack",
-    "gamma_pair_stack",
     "SingularMatrixError",
     "SpectralReport",
     "ZeroClassification",

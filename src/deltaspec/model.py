@@ -25,7 +25,6 @@ __all__ = [
     "PointConfig",
     "green_kernel",
     "gamma_stack",
-    "gamma_pair_stack",
     "gamma_imag_axis",
     "row_sum_bound",
     "dominance_start",
@@ -53,7 +52,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfig:
     """Strengths and centers of the point interactions.
 
@@ -131,35 +130,23 @@ class PointConfig:
 def green_kernel(z, x, y):
     """Free Helmholtz kernel exp(i z |x-y|) / (4 pi |x-y|).
 
-    Raises SingularityError when x == y, and ValueError when |x-y| is not finite.
+    `x` and `y` broadcast as stacks of 3-vectors, shape (..., 3): a stack gives
+    an array, equal to its two-point calls to rounding; two points a complex.
+    Raises SingularityError when any x == y, and ValueError when any |x-y| is
+    not finite.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(x - y))
-    if r == 0.0:
+        # norm rounds one pair by a dot product and a stack by a sum of
+        # squares; the resolvent's CLI bytes depend on both
+        r = np.linalg.norm(x - y, axis=-1 if max(x.ndim, y.ndim) > 1 else None)
+    if (r == 0.0).any():
         raise SingularityError("green_kernel evaluated at x == y")
-    if not np.isfinite(r):
+    if not np.isfinite(r).all():
         raise ValueError("green_kernel: |x - y| is not finite")
-    return complex(np.exp(1j * complex(z) * r) / (FOUR_PI * r))
-
-
-def _gamma_and_phase(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma at a batch of spectral parameters, and the phase factors
-    exp(i z d_jk) it was built from (ones on the diagonal).
-
-    The one place the characteristic-matrix formula lives: the stack and
-    pair functions below share it, so each entry costs a single exp.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    d = cfg.distances
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.exp(1j * zs[..., None, None] * d)
-        out = -phase
-        out /= FOUR_PI * d  # in place: no third full-size array
-    idx = np.arange(cfg.n)
-    out[..., idx, idx] = cfg.alpha - 1j * zs[..., None] / FOUR_PI
-    return out, phase
+    g = np.exp(1j * complex(z) * r) / (FOUR_PI * r)
+    return g if g.ndim else complex(g)
 
 
 def gamma_stack(cfg: PointConfig, zs) -> np.ndarray:
@@ -169,19 +156,18 @@ def gamma_stack(cfg: PointConfig, zs) -> np.ndarray:
     off-diagonal -exp(i z d_jk) / (4 pi d_jk).  `zs` may have any shape,
     a scalar included; the result has shape zs.shape + (N, N).  For real
     z > 0, `.real` and `-.imag` are the real symmetric A and B of
-    Gamma(z) = A - iB.
+    Gamma(z) = A - iB.  The z-derivative is read off the result, with no
+    second exp: Gamma'(z) is i d_jk Gamma_jk(z) off the diagonal and -i/4pi
+    on it.
     """
-    return _gamma_and_phase(cfg, zs)[0]
-
-
-def gamma_pair_stack(cfg: PointConfig, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma(z) and its entrywise z-derivative Gamma'(z) at a batch of z.
-
-    Both have shape zs.shape + (N, N) and share one exp per entry.  Gamma' is
-    -i/4pi on the diagonal and -i exp(i z d)/4pi off it.
-    """
-    g, phase = _gamma_and_phase(cfg, zs)
-    return g, -1j * phase / FOUR_PI
+    zs = np.asarray(zs, dtype=complex)
+    d = cfg.distances
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.exp(1j * zs[..., None, None] * d)
+        out /= FOUR_PI * d  # in place: no third full-size array
+    idx = np.arange(cfg.n)
+    out[..., idx, idx] = cfg.alpha - 1j * zs[..., None] / FOUR_PI
+    return out
 
 
 def gamma_imag_axis(cfg: PointConfig, ts) -> np.ndarray:
@@ -238,6 +224,10 @@ def dominance_start(cfg: PointConfig) -> float:
     t = r_j (1 + tau), are within 4 eps.  As (1 + 8N eps)(1 - 4 eps) exceeds
     1 + (N/2 + 4) eps, a row dominant by this test is strictly dominant in
     the exact Gamma(k).
+
+    The result is finite: PointConfig rejects distances at or below
+    1e-12 max(1, max|point|), so r_j < N / (4 pi 1e-12) and
+    s_j <= 4 pi r_j (1 + tau).
     """
     off = cfg.distances + np.diag(np.full(cfg.n, np.inf))  # 1/inf: no diagonal term
     t = (1.0 / (FOUR_PI * off)).sum(axis=1) * (1.0 + 8 * cfg.n * np.finfo(float).eps)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import inverse
-from .model import FOUR_PI, PointConfig, SingularityError, gamma_stack, green_kernel
+from .model import PointConfig, gamma_stack, green_kernel
 
 __all__ = [
     "resolvent_kernel",
@@ -14,19 +14,9 @@ __all__ = [
 ]
 
 
-def _green_vector(cfg: PointConfig, z: complex, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        r = np.linalg.norm(cfg.points - x, axis=1)
-    if np.any(r == 0.0):
-        raise SingularityError("evaluation point coincides with an interaction center")
-    if not np.isfinite(r).all():
-        raise ValueError("distance from the evaluation point to a center is not finite")
-    return np.exp(1j * z * r) / (FOUR_PI * r)
-
-
 def _kernel(cfg: PointConfig, z: complex, ginv: np.ndarray, x, xp) -> complex:
-    gx = _green_vector(cfg, z, x)
-    gxp = _green_vector(cfg, z, xp)
+    gx = green_kernel(z, cfg.points, x)
+    gxp = green_kernel(z, cfg.points, xp)
     return complex(green_kernel(z, x, xp) + gx @ ginv @ gxp)
 
 

@@ -169,8 +169,11 @@ class ResonanceSet:
 
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
-    """tr(Gamma(z)^-1 Gamma'(z)) for a batch of z values."""
-    g, dg = model.gamma_pair_stack(cfg, zs)
+    """tr(Gamma(z)^-1 Gamma'(z)) for a batch of z, Gamma' read off Gamma."""
+    g = model.gamma_stack(cfg, zs)
+    dg = 1j * cfg.distances * g
+    idx = np.arange(cfg.n)
+    dg[..., idx, idx] = -1j / FOUR_PI
     return np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
 
 
@@ -503,7 +506,7 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
     return ResonanceSet(roots=roots, searched=searched, total_count=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Proof that Gamma(k) is invertible for every real k >= k0: sigma_min at
     the ascending nodes z_grid of a bisection of [k0, z_star], each interval
@@ -514,15 +517,14 @@ class Certificate:
     midpoint rounded onto an end, or open when the bisection reached
     CERTIFY_BUDGET evaluations); (0, k0) is never proved.  `min_margin` is
     the smallest margin of the intervals the Lipschitz bound proved, None
-    without one; `dominance_start` is model.dominance_start, None if not
-    finite."""
+    without one; `dominance_start` is model.dominance_start."""
 
     z_grid: np.ndarray
     sigma_min: np.ndarray
     z_star: float
     verdict: bool
     k0: float
-    dominance_start: float | None
+    dominance_start: float
     min_margin: float | None
     uncovered: list[tuple[float, float]]
 
@@ -562,7 +564,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
 
     k0 = 0 when classify_zero says Regular.  Otherwise sigma_min vanishes at
     0 (like c k for a zero resonance, c k^2 for a zero eigenvalue) and k0 is
-    1e-2 * min(1, d_min), the first point of the earlier fixed grid.
+    1e-2 * min(1, d_min).
 
     rho = 8 N eps R, R the largest row sum of |Gamma(top)|: R bounds
     ||Gamma(k)||_2 for k <= top, |Gamma| being symmetric with only its
@@ -636,7 +638,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         z_star=z_star,
         verdict=bool(ks[-1] >= z_star) and not uncovered,
         k0=k0,
-        dominance_start=dominant if np.isfinite(dominant) else None,
+        dominance_start=dominant,
         min_margin=min_margin,
         uncovered=uncovered,
     )

@@ -62,7 +62,7 @@ class ConvergenceError(RuntimeError):
     """A numerical iteration failed to converge within its budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvalueRecord:
     """One negative eigenvalue -lam**2 with its kernel coefficient vectors,
     each of unit length with its largest-|entry| component positive; where
@@ -297,7 +297,7 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     return SpectralReport(eigenvalues=records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroClassification:
     """Threshold structure at z = 0.
 
@@ -354,7 +354,7 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     return ZeroClassification(kdim, mult, resonance, label, kernel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentCoefficients:
     """Coefficients of z**-2 and z**-1 in the expansion of Gamma(z)**-1 at 0;
     A_minus2 is real."""

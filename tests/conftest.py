@@ -1,7 +1,7 @@
 import numpy as np
 
 from deltaspec import PointConfig
-from deltaspec.model import FOUR_PI
+from deltaspec.model import FOUR_PI, gamma_stack
 
 
 def random_config(rng, n, radius=5.0, min_dist=0.1, alpha_scale=5.0):
@@ -21,6 +21,13 @@ def random_config(rng, n, radius=5.0, min_dist=0.1, alpha_scale=5.0):
             break
     alpha = rng.uniform(-alpha_scale, alpha_scale, size=n)
     return PointConfig(alpha=alpha, points=pts)
+
+
+def logdet_central_difference(cfg, z, h):
+    """Second-order central difference of log det Gamma at z, step h: the
+    log-derivative tr(Gamma^-1 Gamma') to O(h^2)."""
+    (s_lo, s_hi), (l_lo, l_hi) = np.linalg.slogdet(gamma_stack(cfg, [z - h, z + h]))
+    return (np.log(s_hi / s_lo) + (l_hi - l_lo)) / (2.0 * h)
 
 
 def two_center_config(a, d):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deltaspec.linalg import inverse
-from deltaspec.model import FOUR_PI, PointConfig, SingularityError, gamma_stack
-from deltaspec.resolvent import _green_vector
+from deltaspec.model import FOUR_PI, PointConfig, SingularityError, gamma_stack, green_kernel
 
 _AXIS_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -61,7 +60,7 @@ class DomainFunction:
 
     def __call__(self, x) -> complex:
         x = np.asarray(x, dtype=float)
-        g = _green_vector(self.cfg, self.z, x)
+        g = green_kernel(self.z, self.cfg.points, x)
         return complex(self.trial(x) + self.charges @ g)
 
 

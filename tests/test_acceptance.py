@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import random_config, two_center_config
+from conftest import logdet_central_difference, random_config, two_center_config
 from deltaspec import (
     Box,
     PointConfig,
@@ -16,7 +16,6 @@ from deltaspec import (
     classify_zero,
     count_zeros_in_box,
     find_resonances,
-    gamma_pair_stack,
     gamma_stack,
     helmholtz_residual,
     laurent_at_zero,
@@ -24,6 +23,7 @@ from deltaspec import (
     resolvent_kernel,
 )
 from deltaspec.model import FOUR_PI
+from deltaspec.resonance import _trace_logdet
 from deltaspec.spectral import REGULAR, ZERO_EIGENVALUE, ZERO_RESONANCE
 from domain import GaussianTestFunction, boundary_condition_residual
 from sinc import sinc, sinc_gram
@@ -223,14 +223,12 @@ def test_criterion_9_identity_suite():
                 gamma_stack(cfg, -z), np.conj(gamma_stack(cfg, z))
             )
 
-        # derivative vs central differences: O(h^2) error decay
+        # log-derivative with Gamma' read off Gamma vs central differences of
+        # log det Gamma: O(h^2) error decay
         zd = 0.7 + 0.3j
-        exact = gamma_pair_stack(cfg, zd)[1]
-        errs = {}
-        for h in (1e-4, 1e-5):
-            fd = (gamma_stack(cfg, zd + h) - gamma_stack(cfg, zd - h)) / (2 * h)
-            errs[h] = np.abs(fd - exact).max()
-        assert 30.0 < errs[1e-4] / errs[1e-5] < 300.0
+        exact = _trace_logdet(cfg, zd)
+        errs = {h: abs(logdet_central_difference(cfg, zd, h) - exact) for h in (1e-2, 1e-3)}
+        assert 30.0 < errs[1e-2] / errs[1e-3] < 300.0
 
         # sinc sphere quadrature: 1e4 seeded sample points, 1e-6 agreement
         pts, w = sphere_points(10_000, seed=2718, method="gauss")

@@ -1,6 +1,7 @@
 """The public surface: every name in an `__all__` resolves, and none is listed
-twice, in the package and in each of its modules; and the CLI starts without
-a second LAPACK binding, a thread pool or any other new module."""
+twice, in the package and in each of its modules; the types holding arrays
+compare by identity; and the CLI starts without a second LAPACK binding, a
+thread pool or any other new module."""
 
 import importlib
 import json
@@ -59,3 +60,22 @@ def test_cli_import_loads_no_scipy():
     heavy, added = json.loads(out.stdout)
     assert heavy == []
     assert sorted(set(added) - CLI_IMPORTS) == []
+
+
+def _array_holding_values():
+    """One of each public type whose fields hold arrays, built twice over."""
+    cfg = deltaspec.PointConfig(alpha=[-1.0, 2.0], points=[[0, 0, 0], [1, 0, 0]])
+    return [
+        cfg,
+        deltaspec.certify_real_axis(cfg),
+        deltaspec.negative_eigenvalues(cfg).eigenvalues[0],
+        deltaspec.classify_zero(cfg),
+        deltaspec.laurent_at_zero(cfg),
+    ]
+
+
+def test_array_holding_types_compare_and_hash_by_identity():
+    # a generated __eq__ would take an array's truth value and raise
+    for a, b in zip(_array_holding_values(), _array_holding_values()):
+        assert a == a and a != b, type(a).__name__
+        assert len({a, b, a}) == 2, type(a).__name__

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_config, two_center_config
+from conftest import logdet_central_difference, random_config, two_center_config
 from deltaspec import (
     ConfigError,
     PointConfig,
     SingularityError,
-    gamma_pair_stack,
     gamma_stack,
     green_kernel,
 )
 from deltaspec.model import FOUR_PI, dominance_start, gamma_imag_axis, row_sum_bound
+from deltaspec.resonance import _trace_logdet
 from sinc import sinc, sinc_gram
 from sphere import sphere_points
 
@@ -107,6 +107,24 @@ def test_green_kernel_rejects_overflowing_distance():
         green_kernel(1.0, ORIGIN, [1e200, 1e200, 0])
 
 
+def test_green_kernel_stack_matches_two_point_calls():
+    # a stack's distances sum squares where one pair's take a dot product, so
+    # the two forms agree to rounding, not always bit for bit
+    rng = np.random.default_rng(5)
+    xs, y = rng.uniform(-2.0, 2.0, (5, 3)), rng.uniform(-2.0, 2.0, 3)
+    z = 1.3 - 0.4j
+    stacked = green_kernel(z, xs, y)
+    assert stacked.shape == (5,)
+    singles = [green_kernel(z, x, y) for x in xs]
+    np.testing.assert_allclose(stacked, singles, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(green_kernel(z, y, xs), stacked)
+    assert isinstance(green_kernel(z, xs[0], y), complex)
+    with pytest.raises(SingularityError):
+        green_kernel(z, np.vstack([xs[:4], y]), y)
+    with pytest.raises(ValueError, match="not finite"):
+        green_kernel(z, np.vstack([xs[:4], [1e200, 1e200, 0]]), y)
+
+
 # ---------------------------------------------------------------- gamma assembly
 
 
@@ -183,31 +201,37 @@ def test_gamma_imag_axis_matches_complex_assembly():
 # ---------------------------------------------------------------- derivative
 
 
-def test_derivative_one_center():
+# resonance._trace_logdet reads Gamma' off Gamma: the log-derivative it gives
+# is checked against closed forms and against differences of log det Gamma.
+
+
+def test_trace_logdet_one_center_closed_form():
     cfg = PointConfig(alpha=[0.4], points=[ORIGIN])
-    np.testing.assert_allclose(gamma_pair_stack(cfg, 2.3 + 1j)[1], [[-1j / FOUR_PI]])
+    zs = np.array([2.3 + 1j, 0.0, -1.5 - 4j])
+    exact = (-1j / FOUR_PI) / (0.4 - 1j * zs / FOUR_PI)
+    np.testing.assert_allclose(_trace_logdet(cfg, zs), exact, rtol=1e-14, atol=0)
 
 
-def test_derivative_two_centers_at_zero():
+def test_trace_logdet_two_centers_at_zero():
+    # Gamma'(0) = -i/4pi on every entry, so the trace is -i/4pi sum(Gamma(0)^-1)
     cfg = two_center_config(0.9, 1.7)
-    d = gamma_pair_stack(cfg, 0.0)[1]
-    np.testing.assert_allclose(d, np.full((2, 2), -1j / FOUR_PI), rtol=0, atol=1e-16)
+    exact = -1j / FOUR_PI * np.linalg.inv(gamma_stack(cfg, 0.0)).sum()
+    assert abs(_trace_logdet(cfg, 0.0) - exact) <= 1e-15 * abs(exact)
 
 
-def central_difference(cfg, z, h):
-    return (gamma_stack(cfg, z + h) - gamma_stack(cfg, z - h)) / (2.0 * h)
-
-
-def test_derivative_matches_central_differences_second_order():
+@pytest.mark.parametrize("z", [0.7 + 0.3j, 0.7 - 4j])
+def test_trace_logdet_matches_central_differences_second_order(z):
+    # at Im z = -4 the phases exp(i z d) grow like exp(4 d)
     cfg = PointConfig(
         alpha=[0.5, -1.2, 2.0],
         points=[ORIGIN, [2.0, 0, 0], [0, 2.5, 0]],
     )
-    z = 0.7 + 0.3j
-    exact = gamma_pair_stack(cfg, z)[1]
-    err = {h: np.abs(central_difference(cfg, z, h) - exact).max() for h in (1e-4, 1e-5)}
-    assert err[1e-4] < 1e-7
-    ratio = err[1e-4] / err[1e-5]
+    exact = _trace_logdet(cfg, z)
+    # log det Gamma is rounded to ~eps |log det|, so its differences reach
+    # rounding near h = 1e-5; the steps stay above that
+    err = {h: abs(logdet_central_difference(cfg, z, h) - exact) for h in (1e-2, 1e-3)}
+    assert err[1e-2] < 1e-5
+    ratio = err[1e-2] / err[1e-3]
     assert 30.0 < ratio < 300.0  # O(h^2): ratio ~ 100
 
 

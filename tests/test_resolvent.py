@@ -88,7 +88,7 @@ def test_kernel_rejects_overflowing_distance():
     cfg = two_center_config(1.0, 1.0)
     far = np.array([1e200, 1e200, 0.0])
     with pytest.raises(ValueError, match="not finite"):
-        resolvent._green_vector(cfg, 1.0 + 0j, far)
+        green_kernel(1.0 + 0j, cfg.points, far)
     with pytest.raises(ValueError, match="not finite"):
         resolvent_kernel(cfg, 1.0, far, [0.0, 0.0, 1.0])
 

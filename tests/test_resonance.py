@@ -779,7 +779,7 @@ def test_dominance_only_drops_bisection_nodes(monkeypatch):
     for name, cert in full.items():
         ref = bisected[name]
         assert certificate_digest(ref) == BISECTION_DIGESTS[name], name
-        assert ref.dominance_start is None
+        assert ref.dominance_start == np.inf
         keep = np.isin(ref.z_grid, cert.z_grid)
         assert keep.sum() == cert.z_grid.size, name
         np.testing.assert_array_equal(ref.sigma_min[keep], cert.sigma_min)
