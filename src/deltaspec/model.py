@@ -52,6 +52,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _distance(x, y) -> np.ndarray:
+    """|x - y| over the last axis of broadcasting stacks of 3-vectors: the one
+    rounding of a distance, so Gamma and the free kernel agree bit for bit."""
+    d = np.subtract(x, y, dtype=float)
+    return np.sqrt(np.einsum("...k,...k->...", d, d))
+
+
 @dataclass(frozen=True, eq=False)
 class PointConfig:
     """Strengths and centers of the point interactions.
@@ -90,8 +97,7 @@ class PointConfig:
             col = int(np.flatnonzero(~np.isfinite(points[row]))[0])
             raise ConfigError("must be finite", f"/points/{row}/{col}")
 
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = _distance(points[:, None, :], points[None, :, :])
         scale = max(1.0, float(np.abs(points).max()))
         n = alpha.shape[0]
         iu, ju = np.triu_indices(n, k=1)
@@ -131,16 +137,13 @@ def green_kernel(z, x, y):
     """Free Helmholtz kernel exp(i z |x-y|) / (4 pi |x-y|).
 
     `x` and `y` broadcast as stacks of 3-vectors, shape (..., 3): a stack gives
-    an array, equal to its two-point calls to rounding; two points a complex.
+    an array equal to its two-point calls bit for bit, two points a complex.
+    Off the diagonal, green_kernel(z, y_j, y_k) is -Gamma_jk(z) exactly.
     Raises SingularityError when any x == y, and ValueError when any |x-y| is
     not finite.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
-        # norm rounds one pair by a dot product and a stack by a sum of
-        # squares; the resolvent's CLI bytes depend on both
-        r = np.linalg.norm(x - y, axis=-1 if max(x.ndim, y.ndim) > 1 else None)
+        r = _distance(x, y)
     if (r == 0.0).any():
         raise SingularityError("green_kernel evaluated at x == y")
     if not np.isfinite(r).all():

@@ -159,13 +159,13 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class ResonanceSet:
-    roots: list[RootRecord]
+    roots: tuple[RootRecord, ...]
     searched: Box
     total_count: int
 
     @property
-    def resonances(self) -> list[RootRecord]:
-        return [r for r in self.roots if r.kind == RESONANCE]
+    def resonances(self) -> tuple[RootRecord, ...]:
+        return tuple(r for r in self.roots if r.kind == RESONANCE)
 
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
@@ -485,25 +485,21 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
         raise ValueError("find_resonances requires a finite tol > 0")
     memo = _SearchMemo()
     searched, total = _counted_box(cfg, box, memo)
-    roots = []
-    for z, mult in _locate(cfg, searched, total, tol, memo):
-        g = model.gamma_stack(cfg, z)
-        roots.append(
-            RootRecord(
-                z=z,
-                multiplicity=mult,
-                abs_det=float(abs(np.linalg.det(g))),
-                sigma_min=float(np.linalg.svd(g, compute_uv=False)[-1]),
-                kind=_classify_root(z, tol),
-            )
-        )
+    located = _locate(cfg, searched, total, tol, memo)
+    g = model.gamma_stack(cfg, np.array([z for z, _ in located], dtype=complex))
+    dets, sigmas = np.linalg.det(g), np.linalg.svd(g, compute_uv=False)[:, -1]
+    # float(abs(d)) on each det scalar, not the vectorised complex abs: see _panel_integrals
+    roots = sorted(
+        (RootRecord(z, mult, float(abs(d)), float(s), _classify_root(z, tol))
+         for (z, mult), d, s in zip(located, dets, sigmas)),
+        key=lambda r: (r.z.real, r.z.imag),
+    )
     logger.debug(
         "search of %s: %d boxes resolved by moments, %d quadrisected: "
         "%d panels evaluated, %d reused",
         searched, memo.resolved, memo.split, memo.evaluated, memo.reused,
     )
-    roots.sort(key=lambda r: (r.z.real, r.z.imag))
-    return ResonanceSet(roots=roots, searched=searched, total_count=total)
+    return ResonanceSet(roots=tuple(roots), searched=searched, total_count=total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,7 +522,7 @@ class Certificate:
     k0: float
     dominance_start: float
     min_margin: float | None
-    uncovered: list[tuple[float, float]]
+    uncovered: tuple[tuple[float, float], ...]
 
     @property
     def grid_covers_bound(self) -> bool:
@@ -629,7 +625,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         f", {len(left_open)} intervals left open at the budget of {CERTIFY_BUDGET} "
         "evaluations" if left_open else "",
     )
-    uncovered = stuck_at + left_open
+    uncovered = tuple(stuck_at + left_open)
     ks.setflags(write=False)
     sigma.setflags(write=False)
     return Certificate(

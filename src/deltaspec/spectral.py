@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FOUR_PI, PointConfig, dominance_start, gamma_imag_axis, row_sum_bound
+from .model import FOUR_PI, PointConfig, _frozen, dominance_start, gamma_imag_axis, row_sum_bound
 
 REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
@@ -72,12 +72,12 @@ class EigenvalueRecord:
     lam: float
     energy: float
     multiplicity: int
-    coefficients: list[np.ndarray]
+    coefficients: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    eigenvalues: list[EigenvalueRecord]
+    eigenvalues: tuple[EigenvalueRecord, ...]
 
     @property
     def total_multiplicity(self) -> int:
@@ -205,11 +205,11 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
 
 
 def _signed(v: np.ndarray) -> np.ndarray:
-    """A copy of v whose first component within 1e-12 (relative) of its
-    largest |entry| is positive: entries equal up to rounding, as in a
+    """A read-only copy of v whose first component within 1e-12 (relative) of
+    its largest |entry| is positive: entries equal up to rounding, as in a
     symmetric or antisymmetric state, do not leave the sign to rounding."""
     size = np.abs(v)
-    return v * np.sign(v[np.argmax(size >= (1.0 - 1e-12) * size.max())])
+    return _frozen(v * np.sign(v[np.argmax(size >= (1.0 - 1e-12) * size.max())]))
 
 
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
@@ -275,10 +275,10 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
                 mult, len(set(group)), lam_star,
             )
         if mult == 1:  # a jump of m >= 2 gives m equal crossings, so this one is Newton's
-            coeffs = [_signed(vectors[order[i]])]
+            coeffs = (_signed(vectors[order[i]]),)
         else:
             values, vecs = np.linalg.eigh(gamma_imag_axis(cfg, lam_star))
-            coeffs = [_signed(vecs[:, int(c)]) for c in np.argsort(np.abs(values))[:mult]]
+            coeffs = tuple(_signed(vecs[:, int(c)]) for c in np.argsort(np.abs(values))[:mult])
             solved += 1
         records.append(
             EigenvalueRecord(
@@ -294,7 +294,7 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         "%d eigh by records, %d crossings, %d records",
         levels, steps, ends.size + matrices + factored, solved, len(crossings), len(records),
     )
-    return SpectralReport(eigenvalues=records)
+    return SpectralReport(eigenvalues=tuple(records))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +311,7 @@ class ZeroClassification:
     eigenvalue_multiplicity: int
     resonance_present: bool
     label: str
-    kernel: list[np.ndarray]
+    kernel: tuple[np.ndarray, ...]
 
 
 def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
@@ -332,15 +332,15 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("classify_zero requires a finite tol > 0")
     if dominance_start(cfg) == 0.0:
-        return ZeroClassification(0, 0, False, REGULAR, [])
+        return ZeroClassification(0, 0, False, REGULAR, ())
     # Gamma(0) is exactly symmetric, since cfg.distances is, so eigh, which
     # reads one triangle, sees all of it.
     values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, 0.0))
     keep = np.flatnonzero(np.abs(values) <= tol * np.abs(values).max())
-    kernel = [vectors[:, int(k)].copy() for k in keep]
+    kernel = tuple(_frozen(vectors[:, int(k)].copy()) for k in keep)
     kdim = len(kernel)
     if kdim == 0:
-        return ZeroClassification(0, 0, False, REGULAR, [])
+        return ZeroClassification(0, 0, False, REGULAR, ())
     ones = np.ones(cfg.n) / np.sqrt(cfg.n)
     overlap = float(np.sqrt(sum(float(v @ ones) ** 2 for v in kernel)))
     resonance = overlap > tol
@@ -400,4 +400,4 @@ def laurent_at_zero(cfg: PointConfig) -> LaurentCoefficients:
     a2 = 8.0 * np.pi * v @ np.linalg.solve(v.T @ d @ v, v.T)
     m = np.eye(n) - a2 @ d / (8.0 * np.pi)
     a1 = m @ q @ m.T - a2 @ (1j * d * d / (24.0 * np.pi)) @ a2
-    return LaurentCoefficients(A_minus2=a2, A_minus1=a1)
+    return LaurentCoefficients(A_minus2=_frozen(a2), A_minus1=_frozen(a1))

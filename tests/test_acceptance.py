@@ -56,7 +56,7 @@ def test_criterion_1_single_center_spectrum():
         assert rec.multiplicity == 1
         for alpha in (0.0, 0.5, 3.0):
             empty = negative_eigenvalues(PointConfig(alpha=[alpha], points=[ORIGIN]))
-            assert empty.eigenvalues == []
+            assert empty.eigenvalues == ()
 
 
 def test_criterion_2_two_center_oracle():

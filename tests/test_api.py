@@ -1,8 +1,10 @@
 """The public surface: every name in an `__all__` resolves, and none is listed
 twice, in the package and in each of its modules; the types holding arrays
-compare by identity; and the CLI starts without a second LAPACK binding, a
-thread pool or any other new module."""
+compare by identity; every result type hashes and refuses in-place writes;
+and the CLI starts without a second LAPACK binding, a thread pool or any
+other new module."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deltaspec
@@ -65,12 +68,14 @@ def test_cli_import_loads_no_scipy():
 def _array_holding_values():
     """One of each public type whose fields hold arrays, built twice over."""
     cfg = deltaspec.PointConfig(alpha=[-1.0, 2.0], points=[[0, 0, 0], [1, 0, 0]])
+    # alpha = 0: a zero resonance, one kernel vector and a nonzero A_-1
+    threshold = deltaspec.PointConfig(alpha=[0.0], points=[[0, 0, 0]])
     return [
         cfg,
         deltaspec.certify_real_axis(cfg),
         deltaspec.negative_eigenvalues(cfg).eigenvalues[0],
-        deltaspec.classify_zero(cfg),
-        deltaspec.laurent_at_zero(cfg),
+        deltaspec.classify_zero(threshold),
+        deltaspec.laurent_at_zero(threshold),
     ]
 
 
@@ -79,3 +84,38 @@ def test_array_holding_types_compare_and_hash_by_identity():
     for a, b in zip(_array_holding_values(), _array_holding_values()):
         assert a == a and a != b, type(a).__name__
         assert len({a, b, a}) == 2, type(a).__name__
+
+
+def _assert_frozen(value, path):
+    """Fields cannot be set, containers are tuples and arrays are read-only,
+    all the way down."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, None)
+            _assert_frozen(getattr(value, field.name), f"{path}.{field.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _assert_frozen(item, f"{path}[{i}]")
+    elif isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+    else:
+        assert isinstance(value, (bool, int, float, complex, str, type(None))), path
+
+
+def test_result_types_hash_and_refuse_writes():
+    report = deltaspec.negative_eigenvalues(
+        deltaspec.PointConfig(alpha=[-1.0, 2.0], points=[[0, 0, 0], [1, 0, 0]])
+    )
+    # one center: the zero of alpha - iz/4pi at z = -0.2 pi i
+    found = deltaspec.find_resonances(
+        deltaspec.PointConfig(alpha=[0.05], points=[[0, 0, 0]]), deltaspec.Box(-1, 1, -1, 1)
+    )
+    values = [*_array_holding_values(), report, found, found.roots[0], found.searched]
+    modules = [importlib.import_module(name) for name in MODULES]
+    public = {getattr(module, name) for module in modules for name in module.__all__}
+    assert {type(v) for v in values} == {t for t in public if dataclasses.is_dataclass(t)}
+    for value in values:
+        hash(value)
+        _assert_frozen(value, type(value).__name__)

@@ -10,10 +10,11 @@ it prints which jobs changed, for a `resonances` job what changed in its
 roots, for a `spectrum` job what changed in its records and their
 coefficient vectors (up to sign, and which flipped), for a `certify` job
 what changed in its keys, verdict, min_margin and grid, its dominance start, whether the
-new nodes are a subset of the old, and sigma_min on the nodes both share, and
-for a `laurent` job
-what changed in its keys, parameters, nodes and coefficients, before writing
-the new corpus.
+new nodes are a subset of the old, and sigma_min on the nodes both share, for
+a `laurent` job
+what changed in its keys, parameters, nodes and coefficients, and for a
+`resolvent` job |dvalue|, |dfree_kernel| and the Helmholtz residual, before
+writing the new corpus.
 """
 
 import json
@@ -163,11 +164,13 @@ def spectrum_changes(old: bytes, new: bytes) -> list[str]:
 
 
 def resolvent_changes(old: bytes, new: bytes) -> list[str]:
-    """What changed between two outputs of a `resolvent` job: |dvalue| and
-    the Helmholtz residual, when it was checked."""
+    """What changed between two outputs of a `resolvent` job: |dvalue|,
+    |dfree_kernel| and the Helmholtz residual, when it was checked."""
     a, b = json.loads(old), json.loads(new)
-    va, vb = (complex(d["value"]["re"], d["value"]["im"]) for d in (a, b))
-    lines = [f"|dvalue| = {abs(va - vb):.3g} on |value| = {abs(va):.3g}"]
+    lines = []
+    for key in ("value", "free_kernel"):
+        va, vb = (complex(d[key]["re"], d[key]["im"]) for d in (a, b))
+        lines.append(f"|d{key}| = {abs(va - vb):.3g} on |{key}| = {abs(va):.3g}")
     ra, rb = a.get("helmholtz_residual"), b.get("helmholtz_residual")
     if ra != rb:
         lines.append(f"helmholtz_residual: {ra!r} -> {rb!r}")
@@ -250,6 +253,25 @@ def test_certify_changes_report():
     assert certify_changes(old, json.dumps(doc).encode())[-2:] == [
         f"z_grid changed: {size} -> {size - 1} points, not a subset of the old",
         f"max |dsigma_min| = 0 over {size - 2} shared points",
+    ]
+
+
+def test_resolvent_changes_report():
+    old = (GOLDEN / "n5-resolvent.json").read_bytes()
+    doc = json.loads(old)
+    value = abs(complex(doc["value"]["re"], doc["value"]["im"]))
+    free = abs(complex(doc["free_kernel"]["re"], doc["free_kernel"]["im"]))
+    assert resolvent_changes(old, old) == [
+        f"|dvalue| = 0 on |value| = {value:.3g}",
+        f"|dfree_kernel| = 0 on |free_kernel| = {free:.3g}",
+    ]
+    doc["free_kernel"]["im"] += 2.0 ** -40
+    residual = doc["helmholtz_residual"]
+    doc["helmholtz_residual"] = 2.0 * residual
+    assert resolvent_changes(old, json.dumps(doc).encode()) == [
+        f"|dvalue| = 0 on |value| = {value:.3g}",
+        f"|dfree_kernel| = {2.0 ** -40:.3g} on |free_kernel| = {free:.3g}",
+        f"helmholtz_residual: {residual!r} -> {2.0 * residual!r}",
     ]
 
 

@@ -108,21 +108,34 @@ def test_green_kernel_rejects_overflowing_distance():
 
 
 def test_green_kernel_stack_matches_two_point_calls():
-    # a stack's distances sum squares where one pair's take a dot product, so
-    # the two forms agree to rounding, not always bit for bit
+    # a pair and a stack take their distances from one routine: bit for bit
     rng = np.random.default_rng(5)
-    xs, y = rng.uniform(-2.0, 2.0, (5, 3)), rng.uniform(-2.0, 2.0, 3)
+    xs, y = rng.uniform(-2.0, 2.0, (40, 3)), rng.uniform(-2.0, 2.0, 3)
     z = 1.3 - 0.4j
     stacked = green_kernel(z, xs, y)
-    assert stacked.shape == (5,)
+    assert stacked.shape == (40,)
     singles = [green_kernel(z, x, y) for x in xs]
-    np.testing.assert_allclose(stacked, singles, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.array_equal(stacked, singles)
     assert np.array_equal(green_kernel(z, y, xs), stacked)
     assert isinstance(green_kernel(z, xs[0], y), complex)
     with pytest.raises(SingularityError):
         green_kernel(z, np.vstack([xs[:4], y]), y)
     with pytest.raises(ValueError, match="not finite"):
         green_kernel(z, np.vstack([xs[:4], [1e200, 1e200, 0]]), y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_green_kernel_is_minus_gamma_off_the_diagonal(seed):
+    # Gamma_jk = -G_z(|y_j - y_k|) with the same rounding of the distance, for
+    # two centers and for one center against a stack of the others
+    rng = np.random.default_rng(300 + seed)
+    cfg = random_config(rng, 8, radius=2.0, min_dist=0.2)
+    zs = [1.3 - 0.4j, 0.2 + 2.5j, 4.0]
+    for z, g in zip(zs, gamma_stack(cfg, zs)):
+        for j in range(cfg.n):
+            others = np.delete(np.arange(cfg.n), j)
+            assert np.array_equal(green_kernel(z, cfg.points[others], cfg.points[j]), -g[j, others])
+            assert all(green_kernel(z, cfg.points[j], cfg.points[k]) == -g[j, k] for k in others)
 
 
 # ---------------------------------------------------------------- gamma assembly

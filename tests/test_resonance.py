@@ -108,7 +108,7 @@ def test_find_zero_resonance_excluded_from_lower_box():
     # boundary; the inward jitter keeps the threshold out of the search
     found = find_resonances(one_center(0.0), Box(-1.0, 1.0, -20.0, 0.0))
     assert found.total_count == 0
-    assert found.roots == []
+    assert found.roots == ()
 
 
 def test_eigenvalue_pole_is_cross_labeled():
@@ -117,7 +117,7 @@ def test_eigenvalue_pole_is_cross_labeled():
     assert found.total_count == 1
     assert found.roots[0].kind == EIGENVALUE_POLE
     assert abs(found.roots[0].z - 4j * np.pi) < 1e-8
-    assert found.resonances == []
+    assert found.resonances == ()
 
 
 def test_multiplicity_sum_matches_total_count():
@@ -517,14 +517,14 @@ def test_certificate_two_center_example():
     cfg = two_center_config(1.0, 1.0)
     cert = certify_real_axis(cfg)
     assert cert.z_star == pytest.approx(FOUR_PI + 2.0)
-    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == []
+    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == ()
     assert cert.grid_covers_bound
     assert cert.dominance_start == 0.0 and cert.min_margin is None
     np.testing.assert_array_equal(cert.z_grid, [0.0, cert.z_star])
     cfg = lipschitz_config()
     cert = certify_real_axis(cfg)
     assert cert.z_star == pytest.approx(0.02 * FOUR_PI + 2.0)
-    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == []
+    assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == ()
     assert cert.dominance_start == pytest.approx(4 * np.pi * np.sqrt(1 / FOUR_PI ** 2 - 0.02 ** 2))
     assert cert.min_margin > 1.0
     # the Gram matrix is SPD at the nodes
@@ -589,7 +589,7 @@ def test_certificate_short_grid_fails_coverage():
     assert not cert.verdict
     cert = certify_real_axis(lipschitz_config(), z_max=0.5)
     assert cert.z_grid[-1] == 0.5 and cert.min_margin > 1.0  # [0, 0.5] is proved
-    assert cert.dominance_start > 0.5 and cert.uncovered == []
+    assert cert.dominance_start > 0.5 and cert.uncovered == ()
     assert not cert.grid_covers_bound
     assert not cert.verdict
     for z_max in (0.0, -1.0, np.nan, np.inf):
@@ -693,10 +693,10 @@ def test_certificate_reports_an_interval_it_cannot_prove(monkeypatch, caplog):
     assert np.all(np.abs(lo - c) < 1e-12) and np.any((lo <= c) & (c <= hi))
     assert not cert.verdict and cert.grid_covers_bound
     assert cert.min_margin > 1.0
-    assert any(m.endswith(f"uncovered {cert.uncovered}") for m in caplog.messages)
+    assert any(m.endswith(f"uncovered {list(cert.uncovered)}") for m in caplog.messages)
     # where every row is dominant, the proof reads sigma_min at the ends only
     cert = certify_real_axis(two_center_config(1.0, 1.0))
-    assert cert.verdict and cert.z_grid.size == 2 and cert.uncovered == []
+    assert cert.verdict and cert.z_grid.size == 2 and cert.uncovered == ()
 
 
 # The graded configs of a zero-sum threshold plus one strength of 1e12..1e15:
@@ -730,7 +730,8 @@ def test_certificate_of_a_dominant_graded_config_takes_two_evaluations():
 
 def certificate_digest(cert) -> str:
     h = hashlib.sha256(cert.z_grid.tobytes() + cert.sigma_min.tobytes())
-    h.update(repr((cert.verdict, cert.k0, cert.min_margin, cert.uncovered)).encode())
+    # the uncovered intervals as a list: the digests predate the tuple field
+    h.update(repr((cert.verdict, cert.k0, cert.min_margin, list(cert.uncovered))).encode())
     return h.hexdigest()[:16]
 
 

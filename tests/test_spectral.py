@@ -66,7 +66,7 @@ def test_single_center_negative_alpha():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 3.0])
 def test_single_center_nonnegative_alpha_empty(alpha):
     cfg = PointConfig(alpha=[alpha], points=[ORIGIN])
-    assert negative_eigenvalues(cfg).eigenvalues == []
+    assert negative_eigenvalues(cfg).eigenvalues == ()
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
