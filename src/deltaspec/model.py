@@ -9,7 +9,7 @@ between callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,9 @@ FOUR_PI = 4.0 * np.pi
 
 # Relative scale below which two centers count as coincident.
 COINCIDENCE_RTOL = 1e-12
+# The most matrix entries one Gamma batch of the certificate or scan-det holds:
+# both take max(1, this // N**2) matrices at a time.
+_BATCH_ENTRIES = 2 ** 21
 
 __all__ = [
     "FOUR_PI",
@@ -69,10 +72,14 @@ class PointConfig:
     pairwise distinct: coincident points are rejected at relative tolerance
     1e-12 of the configuration scale rather than merged.  Every pairwise
     distance must be finite: one that overflows is rejected, not computed with.
+    `distances` holds the pairwise center distances, zero diagonal, and
+    `d_min` the smallest of them, None for a single center.
     """
 
     alpha: np.ndarray
     points: np.ndarray
+    distances: np.ndarray = field(init=False, repr=False)
+    d_min: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -115,22 +122,12 @@ class PointConfig:
 
         object.__setattr__(self, "alpha", _frozen(alpha))
         object.__setattr__(self, "points", _frozen(points))
-        object.__setattr__(self, "_distances", _frozen(dist))
-        object.__setattr__(self, "_d_min", float(pair.min()) if n > 1 else None)
+        object.__setattr__(self, "distances", _frozen(dist))
+        object.__setattr__(self, "d_min", float(pair.min()) if n > 1 else None)
 
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
-
-    @property
-    def distances(self) -> np.ndarray:
-        """Pairwise center distances, zero diagonal."""
-        return self._distances
-
-    @property
-    def d_min(self):
-        """Minimum pairwise center distance; None for a single center."""
-        return self._d_min
 
 
 def green_kernel(z, x, y):

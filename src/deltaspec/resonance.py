@@ -524,13 +524,11 @@ class Certificate:
     min_margin: float | None
     uncovered: tuple[tuple[float, float], ...]
 
-    @property
-    def grid_covers_bound(self) -> bool:
-        return float(self.z_grid[-1]) >= self.z_star
-
 
 def _sigma_min(cfg: PointConfig, ks: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(model.gamma_stack(cfg, ks), compute_uv=False)[:, -1]
+    step = max(1, model._BATCH_ENTRIES // cfg.n ** 2)
+    gs = (model.gamma_stack(cfg, ks[i:i + step]) for i in range(0, ks.size, step))
+    return np.concatenate([np.linalg.svd(g, compute_uv=False)[:, -1] for g in gs])
 
 
 def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certificate:
@@ -590,7 +588,6 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         row_sum = float(np.abs(model.gamma_stack(cfg, top)).sum(axis=1).max())
         rho = 8 * cfg.n * np.finfo(float).eps * row_sum
         a, b, sa, sb = ks[:-1], ks[1:], sigma[:-1], sigma[1:]
-        evaluations = ks.size
         while a.size:
             margin = (sa + sb - 2.0 * rho) / (lip * (b - a))
             mid = 0.5 * (a + b)
@@ -603,12 +600,11 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
             idx = np.flatnonzero(open_ & ~stuck)
             if idx.size == 0:
                 break
-            if evaluations + idx.size > CERTIFY_BUDGET:
+            if sum(k.size for k in nodes) + idx.size > CERTIFY_BUDGET:
                 left_open = list(zip(a[idx].tolist(), b[idx].tolist()))
                 break
             mid = mid[idx]
             sm = _sigma_min(cfg, mid)
-            evaluations += idx.size
             nodes.append(mid)
             values.append(sm)
             a, b = _pairs(a[idx], mid), _pairs(mid, b[idx])

@@ -323,7 +323,8 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     and the label are reported, never conflated.
 
     The kernel is the eigenvectors of Gamma(0) whose eigenvalues are within
-    tol of its largest in modulus.  A Gamma(0) whose rows are all strictly
+    tol of its largest in modulus, each signed as negative_eigenvalues signs
+    its coefficient vectors.  A Gamma(0) whose rows are all strictly
     diagonally dominant, dominance_start(cfg) == 0, is Regular at every tol
     without an eigh: by Varah's bound its smallest singular value is at least
     min_j (|alpha_j| - r_j) > 0, with the rounding argued in dominance_start,
@@ -337,7 +338,7 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     # reads one triangle, sees all of it.
     values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, 0.0))
     keep = np.flatnonzero(np.abs(values) <= tol * np.abs(values).max())
-    kernel = tuple(_frozen(vectors[:, int(k)].copy()) for k in keep)
+    kernel = tuple(_signed(vectors[:, int(k)]) for k in keep)
     kdim = len(kernel)
     if kdim == 0:
         return ZeroClassification(0, 0, False, REGULAR, ())

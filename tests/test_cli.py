@@ -306,11 +306,11 @@ def test_scan_det_chunks_match_one_batch(tmp_path, capsys, monkeypatch):
     argv = ["scan-det", path, "--axis", "real", "--from", "0", "--to", "30", "--step", "0.01"]
     code, out, _ = run(capsys, *argv)
     rows = json.loads(out)["rows"]
-    assert code == 0 and len(rows) == 3001 > cli._CHUNK_POINTS
-    monkeypatch.setattr(cli, "_CHUNK_POINTS", 37)
+    assert code == 0 and len(rows) == 3001 <= cli.model._BATCH_ENTRIES // 9  # one batch
+    monkeypatch.setattr(cli.model, "_BATCH_ENTRIES", 37 * 9)  # chunks of 37 points
     _, small, _ = run(capsys, *argv)
     assert json.loads(small)["rows"] == rows
-    monkeypatch.setattr(cli, "_CHUNK_POINTS", 10**9)
+    monkeypatch.setattr(cli.model, "_BATCH_ENTRIES", 1)  # chunks of one point
     _, single, _ = run(capsys, *argv)
     assert json.loads(single)["rows"] == rows
     zs = np.array([r["z"] for r in rows])
@@ -327,10 +327,11 @@ def test_scan_det_chunk_errors_propagate(tmp_path, capsys, monkeypatch):
 
     path = write_config(tmp_path, [0.5, 0.5], [[0, 0, 0], [1.3, 0, 0]])
     monkeypatch.setattr(cli.model, "gamma_stack", broken)
+    monkeypatch.setattr(cli.model, "_BATCH_ENTRIES", 2048 * 4)  # chunks of 2,048 points
     with pytest.raises(FloatingPointError, match="chunk failed"):
         run(capsys, "scan-det", path, "--axis", "real", "--from", "0", "--to", "1",
             "--step", "1e-4")
-    assert calls == [cli._CHUNK_POINTS]  # the first chunk failed, and no other ran
+    assert calls == [2048]  # the first chunk failed, and no other ran
 
 
 def test_scan_det_starts_no_thread(tmp_path):

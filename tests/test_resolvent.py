@@ -146,6 +146,17 @@ def test_helmholtz_residual_second_order():
     assert 3.5 < r_coarse / r_fine < 4.5
 
 
+def test_kernel_of_a_stack_equals_its_point_calls():
+    rng = np.random.default_rng(86)
+    cfg = random_config(rng, 3, radius=1.0, min_dist=0.5)
+    z, xp = 1.3 + 0.4j, np.array([-1.5, 1.0, 0.8])
+    xs = rng.uniform(2.0, 3.0, size=(2, 3, 3))
+    values = resolvent_kernel(cfg, z, xs, xp)
+    expected = [[resolvent_kernel(cfg, z, x, xp) for x in row] for row in xs]
+    assert values.shape == (2, 3) and np.array_equal(values, expected)
+    assert type(expected[0][0]) is complex
+
+
 def test_helmholtz_residual_inverts_gamma_once(monkeypatch):
     # the seven stencil points share one Gamma^-1, and the residual is the
     # one the kernel gives point by point

@@ -518,7 +518,7 @@ def test_certificate_two_center_example():
     cert = certify_real_axis(cfg)
     assert cert.z_star == pytest.approx(FOUR_PI + 2.0)
     assert cert.verdict and cert.k0 == 0.0 and cert.uncovered == ()
-    assert cert.grid_covers_bound
+    assert cert.z_grid[-1] >= cert.z_star
     assert cert.dominance_start == 0.0 and cert.min_margin is None
     np.testing.assert_array_equal(cert.z_grid, [0.0, cert.z_star])
     cfg = lipschitz_config()
@@ -585,12 +585,12 @@ def test_certificate_short_grid_fails_coverage():
     # [0, 1] is proved by dominance
     np.testing.assert_array_equal(cert.z_grid, [0.0, 1.0])
     assert cert.dominance_start == 0.0 and cert.min_margin is None
-    assert not cert.grid_covers_bound
+    assert cert.z_grid[-1] < cert.z_star
     assert not cert.verdict
     cert = certify_real_axis(lipschitz_config(), z_max=0.5)
     assert cert.z_grid[-1] == 0.5 and cert.min_margin > 1.0  # [0, 0.5] is proved
     assert cert.dominance_start > 0.5 and cert.uncovered == ()
-    assert not cert.grid_covers_bound
+    assert cert.z_grid[-1] < cert.z_star
     assert not cert.verdict
     for z_max in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="z_max > 0"):
@@ -605,7 +605,7 @@ def test_certificate_large_n_gram_precision_exhaustion():
     rng = np.random.default_rng(5150)
     cfg = random_config(rng, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0)
     cert = certify_real_axis(cfg)
-    assert cert.grid_covers_bound
+    assert cert.z_grid[-1] >= cert.z_star
     assert cert.sigma_min.min() > 1e-3
     assert cert.verdict
 
@@ -691,12 +691,38 @@ def test_certificate_reports_an_interval_it_cannot_prove(monkeypatch, caplog):
     lo, hi = np.array(cert.uncovered).T
     assert lo.size and np.all(hi == np.nextafter(lo, np.inf))
     assert np.all(np.abs(lo - c) < 1e-12) and np.any((lo <= c) & (c <= hi))
-    assert not cert.verdict and cert.grid_covers_bound
+    assert not cert.verdict and cert.z_grid[-1] >= cert.z_star
     assert cert.min_margin > 1.0
     assert any(m.endswith(f"uncovered {list(cert.uncovered)}") for m in caplog.messages)
     # where every row is dominant, the proof reads sigma_min at the ends only
     cert = certify_real_axis(two_center_config(1.0, 1.0))
     assert cert.verdict and cert.z_grid.size == 2 and cert.uncovered == ()
+
+
+def test_certificate_batches_hold_at_most_the_entry_bound(monkeypatch):
+    # the triangle's bisection levels hold hundreds of midpoints; with room
+    # for 16 matrices a batch, every Gamma batch stays within the bound and
+    # the certificate is that of unbounded batches, bit for bit
+    d = 0.3
+    third = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0]) * d
+    cfg = PointConfig(alpha=[-1.0 / (FOUR_PI * d)] * 3,
+                      points=[ORIGIN, [d, 0.0, 0.0], third])
+    whole = certify_real_axis(cfg)
+    sizes, original = [], model.gamma_stack
+
+    def counted(cfg, zs):
+        out = original(cfg, zs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(model, "gamma_stack", counted)
+    monkeypatch.setattr(model, "_BATCH_ENTRIES", 16 * 9)
+    cert = certify_real_axis(cfg)
+    assert max(sizes) == 16 * 9 and len(sizes) > whole.z_grid.size / 16
+    for name in ("z_grid", "sigma_min"):
+        assert np.array_equal(getattr(cert, name), getattr(whole, name))
+    for name in ("z_star", "verdict", "k0", "dominance_start", "min_margin", "uncovered"):
+        assert getattr(cert, name) == getattr(whole, name)
 
 
 # The graded configs of a zero-sum threshold plus one strength of 1e12..1e15:
@@ -711,7 +737,7 @@ def test_certificate_stops_at_the_evaluation_budget(alpha, caplog):
     cfg = PointConfig(alpha=alpha, points=points)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
         cert = certify_real_axis(cfg)
-    assert not cert.verdict and cert.grid_covers_bound
+    assert not cert.verdict and cert.z_grid[-1] >= cert.z_star
     assert cert.z_grid.size <= resonance.CERTIFY_BUDGET
     [line] = [m for m in caplog.messages if m.startswith("certificate from")]
     left = int(re.search(r", (\d+) intervals left open at the budget of 65536 ", line)[1])

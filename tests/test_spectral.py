@@ -624,6 +624,15 @@ def test_classify_zero_two_center_eigenvalue():
     assert abs(v[0] + v[1]) < 1e-8
 
 
+@pytest.mark.parametrize("d", [0.5, 0.8, 1.3, 2.0])
+def test_classify_zero_signs_the_pair_kernel(d):
+    # alpha = -1/(4pi d): the kernel is (1, -1)/sqrt(2), signed as
+    # negative_eigenvalues signs its coefficients, not as LAPACK returns it
+    (v,) = classify_zero(two_center_config(-1.0 / (FOUR_PI * d), d)).kernel
+    np.testing.assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2), rtol=1e-12)
+    assert np.array_equal(v, spectral._signed(v))
+
+
 def test_classify_zero_two_center_resonance():
     # Gamma(0) = [[1, -1], [-1, 1]] / 4pi: one kernel vector, proportional to
     # (1, 1), whose nonzero coefficient sum marks a resonance
