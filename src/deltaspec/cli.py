@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain/numerical errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -44,8 +45,8 @@ def parse_config(path: str) -> PointConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
 
@@ -121,15 +122,11 @@ def _pieces(obj, indent: str = ""):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    """Write the payload's JSON piece by piece, so an iterator in it is never
-    held whole."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_pieces(payload))
-            fh.write("\n")
-    else:
-        sys.stdout.writelines(_pieces(payload))
-        sys.stdout.write("\n")
+    """Write the payload's JSON piece by piece: an iterator in it is never held whole."""
+    stdout = contextlib.nullcontext(sys.stdout)  # left open
+    with open(out_path, "w", encoding="utf-8", newline="") if out_path else stdout as fh:
+        fh.writelines(_pieces(payload))
+        fh.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -169,11 +166,9 @@ def _cmd_classify_zero(cfg, args) -> dict:
 
 
 def _cmd_laurent(cfg, args) -> dict:
-    if not (np.isfinite(args.radius) and args.radius > 0.0):
-        raise ConfigError("--radius must be finite and > 0")
     coeffs = spectral.laurent_at_zero(cfg)
-    # The coefficients are exact and take no contour: "radius" echoes
-    # --radius and "nodes" is 0, kept because perfbench/run.py reads both.
+    # The coefficients are exact and take no contour: "radius" is always
+    # 0.01 and "nodes" 0, kept because perfbench/run.py reads both.
     return {
         "radius": args.radius,
         "nodes": 0,
@@ -267,17 +262,9 @@ def _cmd_scan_det(cfg, args) -> dict:
     try:
         ts = args.start + args.step * np.arange(count)
         zs = ts.astype(complex) if args.axis == "real" else 1j * ts
-        dets = np.empty(count, dtype=complex)
-        sigmas = np.empty(count)
     except (MemoryError, ValueError):  # numpy's "Maximum allowed size exceeded" is a ValueError
         raise ConfigError(f"--from, --to and --step give {count:.3g} points, too many to allocate")
-
-    step = max(1, model._BATCH_ENTRIES // cfg.n ** 2)
-    for start in range(0, count, step):
-        sl = slice(start, start + step)
-        gs = model.gamma_stack(cfg, zs[sl])
-        dets[sl] = np.linalg.det(gs)
-        sigmas[sl] = np.linalg.svd(gs, compute_uv=False)[:, -1]
+    dets, sigmas = resonance._det_and_sigma_min(cfg, zs)
 
     def rows():
         for t, d, s in zip(ts.tolist(), dets.tolist(), sigmas.tolist()):
@@ -330,12 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("laurent", _cmd_laurent, help="Laurent coefficients of Gamma^-1 at 0")
-    p.add_argument(
-        "--radius",
-        type=float,
-        default=1e-2,
-        help="only echoed in the output: the coefficients are exact, with no contour",
-    )
+    p.set_defaults(radius=1e-2)  # an output key, not an option: see _cmd_laurent
 
     p = add("resonances", _cmd_resonances, help="zeros of det Gamma in a box")
     p.add_argument(
@@ -394,13 +376,10 @@ def dispatch(argv=None) -> int:
     }
     try:
         cfg = parse_config(args.config)
-        result = args.func(cfg, args)
-    except (ValueError, RuntimeError) as exc:  # ConfigError, SingularMatrixError included
+        _emit({"manifest": manifest, **args.func(cfg, args)}, args.out)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:  # deltaspec's own errors too
         print(f"deltaspec: error: {exc}", file=sys.stderr)
         return 1
-    payload = {"manifest": manifest}
-    payload.update(result)
-    _emit(payload, args.out)
     return 0
 
 

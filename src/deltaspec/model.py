@@ -17,8 +17,8 @@ FOUR_PI = 4.0 * np.pi
 
 # Relative scale below which two centers count as coincident.
 COINCIDENCE_RTOL = 1e-12
-# The most matrix entries one Gamma batch of the certificate or scan-det holds:
-# both take max(1, this // N**2) matrices at a time.
+# The most matrix entries one batch of _gamma_batches holds: it takes
+# max(1, this // N**2) matrices at a time.
 _BATCH_ENTRIES = 2 ** 21
 
 __all__ = [
@@ -168,6 +168,16 @@ def gamma_stack(cfg: PointConfig, zs) -> np.ndarray:
     idx = np.arange(cfg.n)
     out[..., idx, idx] = cfg.alpha - 1j * zs[..., None] / FOUR_PI
     return out
+
+
+def _gamma_batches(cfg: PointConfig, zs: np.ndarray):
+    """(slice, gamma_stack(cfg, zs[slice])) in order over the flat zs, at most
+    max(1, _BATCH_ENTRIES // N**2) matrices a batch: the one route by which a
+    stack of many z is assembled, so no batch outgrows the bound."""
+    step = max(1, _BATCH_ENTRIES // cfg.n ** 2)
+    for start in range(0, zs.size, step):
+        sl = slice(start, start + step)
+        yield sl, gamma_stack(cfg, zs[sl])
 
 
 def gamma_imag_axis(cfg: PointConfig, ts) -> np.ndarray:

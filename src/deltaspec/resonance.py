@@ -169,12 +169,15 @@ class ResonanceSet:
 
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
-    """tr(Gamma(z)^-1 Gamma'(z)) for a batch of z, Gamma' read off Gamma."""
-    g = model.gamma_stack(cfg, zs)
-    dg = 1j * cfg.distances * g
+    """tr(Gamma(z)^-1 Gamma'(z)) for an array of z of any shape, Gamma' read off Gamma."""
+    zs = np.asarray(zs, dtype=complex)
+    out = np.empty(zs.size, dtype=complex)
     idx = np.arange(cfg.n)
-    dg[..., idx, idx] = -1j / FOUR_PI
-    return np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
+    for sl, g in model._gamma_batches(cfg, zs.ravel()):
+        dg = 1j * cfg.distances * g
+        dg[..., idx, idx] = -1j / FOUR_PI
+        out[sl] = np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
+    return out.reshape(zs.shape)
 
 
 def _node_values(cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -486,8 +489,7 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
     memo = _SearchMemo()
     searched, total = _counted_box(cfg, box, memo)
     located = _locate(cfg, searched, total, tol, memo)
-    g = model.gamma_stack(cfg, np.array([z for z, _ in located], dtype=complex))
-    dets, sigmas = np.linalg.det(g), np.linalg.svd(g, compute_uv=False)[:, -1]
+    dets, sigmas = _det_and_sigma_min(cfg, np.array([z for z, _ in located], dtype=complex))
     # float(abs(d)) on each det scalar, not the vectorised complex abs: see _panel_integrals
     roots = sorted(
         (RootRecord(z, mult, float(abs(d)), float(s), _classify_root(z, tol))
@@ -525,10 +527,21 @@ class Certificate:
     uncovered: tuple[tuple[float, float], ...]
 
 
-def _sigma_min(cfg: PointConfig, ks: np.ndarray) -> np.ndarray:
-    step = max(1, model._BATCH_ENTRIES // cfg.n ** 2)
-    gs = (model.gamma_stack(cfg, ks[i:i + step]) for i in range(0, ks.size, step))
-    return np.concatenate([np.linalg.svd(g, compute_uv=False)[:, -1] for g in gs])
+def _sigma_min(cfg: PointConfig, zs: np.ndarray) -> np.ndarray:
+    """sigma_min(Gamma(z)) over the flat zs."""
+    sigmas = np.empty(zs.size)
+    for sl, g in model._gamma_batches(cfg, zs):
+        sigmas[sl] = np.linalg.svd(g, compute_uv=False)[:, -1]
+    return sigmas
+
+
+def _det_and_sigma_min(cfg: PointConfig, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det Gamma(z) and sigma_min(Gamma(z)) over the flat zs."""
+    dets, sigmas = np.empty(zs.size, dtype=complex), np.empty(zs.size)
+    for sl, g in model._gamma_batches(cfg, zs):
+        dets[sl] = np.linalg.det(g)
+        sigmas[sl] = np.linalg.svd(g, compute_uv=False)[:, -1]
+    return dets, sigmas
 
 
 def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certificate:
@@ -622,11 +635,9 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         "evaluations" if left_open else "",
     )
     uncovered = tuple(stuck_at + left_open)
-    ks.setflags(write=False)
-    sigma.setflags(write=False)
     return Certificate(
-        z_grid=ks,
-        sigma_min=sigma,
+        z_grid=model._frozen(ks),
+        sigma_min=model._frozen(sigma),
         z_star=z_star,
         verdict=bool(ks[-1] >= z_star) and not uncovered,
         k0=k0,

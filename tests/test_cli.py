@@ -131,7 +131,7 @@ def test_classify_zero_resonant(tmp_path, capsys):
 
 def test_laurent_resonant_single_center(tmp_path, capsys):
     path = write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]])
-    code, out, _ = run(capsys, "laurent", path, "--radius", "0.01")
+    code, out, _ = run(capsys, "laurent", path)
     assert code == 0
     doc = json.loads(out)
     assert doc["A_minus1"]["im"][0][0] == pytest.approx(FOUR_PI, abs=1e-8)
@@ -150,22 +150,15 @@ def test_laurent_node_near_a_pole_exits_zero(tmp_path, capsys):
 
 
 def test_laurent_radius_is_only_echoed(tmp_path, capsys):
-    # the coefficients are exact: --radius changes nothing but its echo, and
-    # nodes is always 0; a radius that is not finite and > 0 is still refused
+    # the coefficients are exact and take no contour: radius is always 0.01,
+    # nodes 0, and --radius is not an option
     path = write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]])
-    docs = []
-    for radius in ("0.01", "3e-3"):
-        code, out, _ = run(capsys, "laurent", path, "--radius", radius)
-        assert code == 0
-        doc = json.loads(out)
-        assert (doc.pop("radius"), doc.pop("nodes")) == (float(radius), 0)
-        doc.pop("manifest")
-        docs.append(doc)
-    assert docs[0] == docs[1]
-    for radius in ("0", "-1e-2"):
-        code, out, err = run(capsys, "laurent", path, f"--radius={radius}")
-        assert (code, out) == (1, "")
-        assert "--radius must be finite and > 0" in err
+    code, out, _ = run(capsys, "laurent", path)
+    doc = json.loads(out)
+    assert code == 0 and (doc["radius"], doc["nodes"]) == (0.01, 0)
+    assert doc["manifest"]["parameters"] == {"radius": 0.01}
+    code, out, err = run(capsys, "laurent", path, "--radius", "0.01")
+    assert (code, out) == (2, "") and "unrecognized arguments: --radius" in err
 
 
 def test_resonances_antibound_state(tmp_path, capsys):
@@ -333,6 +326,14 @@ def test_scan_det_chunk_errors_propagate(tmp_path, capsys, monkeypatch):
             "--step", "1e-4")
     assert calls == [2048]  # the first chunk failed, and no other ran
 
+    def exhausted(cfg, zs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli.model, "gamma_stack", exhausted)
+    code, out, err = run(capsys, "scan-det", path, "--axis", "real", "--from", "0", "--to", "1",
+                         "--step", "1e-4")
+    assert (code, out, err) == (1, "", "deltaspec: error: Unable to allocate\n")
+
 
 def test_scan_det_starts_no_thread(tmp_path):
     # The perfbench tracer keeps one span stack, which is right only while
@@ -491,9 +492,27 @@ def test_domain_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["spectrum", "one", "--out", "/nonexistent/x.json"],
+        ["spectrum", "."],  # a directory, not a config file
+        ["scan-det", "one", "--axis", "real", "--from", "0", "--to", "1", "--step", "0.5",
+         "--csv", "/nonexistent/s.csv"],
+    ],
+)
+def test_unreadable_or_unwritable_paths_are_domain_errors(tmp_path, capsys, argv):
+    path = write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]], "one.json")
+    argv = [str(tmp_path) if a == "." else path if a == "one" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("deltaspec: error:") and "Traceback" not in err
+    assert (argv[-1] if argv[-2] in ("--out", "--csv") else str(tmp_path)) in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["spectrum", "two", "--tol", "nan"],
         ["classify-zero", "one", "--tol", "nan"],
-        ["laurent", "one", "--radius", "inf"],
         ["resonances", "one", "--box", "-1", "1", "-20", "-1", "--tol", "inf"],
         ["resonances", "one", "--box", "-1", "inf", "-20", "-1"],
         ["certify", "one", "--zmax", "inf"],

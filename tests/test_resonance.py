@@ -700,29 +700,39 @@ def test_certificate_reports_an_interval_it_cannot_prove(monkeypatch, caplog):
 
 
 def test_certificate_batches_hold_at_most_the_entry_bound(monkeypatch):
-    # the triangle's bisection levels hold hundreds of midpoints; with room
-    # for 16 matrices a batch, every Gamma batch stays within the bound and
-    # the certificate is that of unbounded batches, bit for bit
+    # the triangle's bisection levels hold hundreds of midpoints, and the
+    # levels of the N=8 golden search hundreds of panels; with room for 16
+    # matrices a batch, every Gamma batch stays within the bound and the
+    # certificate and the roots are those of unbounded batches, bit for bit
     d = 0.3
     third = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0]) * d
     cfg = PointConfig(alpha=[-1.0 / (FOUR_PI * d)] * 3,
                       points=[ORIGIN, [d, 0.0, 0.0], third])
-    whole = certify_real_axis(cfg)
+    crowded = random_config(np.random.default_rng(1), 8, radius=1.2, min_dist=0.5,
+                            alpha_scale=2.0)
+    box = Box(-5.0, 5.0, -5.0, -0.2)
+    whole, found = certify_real_axis(cfg), find_resonances(crowded, box)
     sizes, original = [], model.gamma_stack
 
     def counted(cfg, zs):
         out = original(cfg, zs)
-        sizes.append(out.size)
+        sizes.append(out.size // cfg.n ** 2)
         return out
 
     monkeypatch.setattr(model, "gamma_stack", counted)
     monkeypatch.setattr(model, "_BATCH_ENTRIES", 16 * 9)
     cert = certify_real_axis(cfg)
-    assert max(sizes) == 16 * 9 and len(sizes) > whole.z_grid.size / 16
+    assert max(sizes) == 16 and len(sizes) > whole.z_grid.size / 16
     for name in ("z_grid", "sigma_min"):
         assert np.array_equal(getattr(cert, name), getattr(whole, name))
     for name in ("z_star", "verdict", "k0", "dominance_start", "min_margin", "uncovered"):
         assert getattr(cert, name) == getattr(whole, name)
+    sizes.clear()
+    monkeypatch.setattr(model, "_BATCH_ENTRIES", 16 * 64)
+    bounded = find_resonances(crowded, box)
+    assert max(sizes) == 16 and len(sizes) > 100
+    assert (bounded.searched, bounded.total_count) == (found.searched, found.total_count)
+    assert bounded.roots == found.roots and len(found.roots) > 16
 
 
 # The graded configs of a zero-sum threshold plus one strength of 1e12..1e15:
