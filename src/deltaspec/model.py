@@ -84,8 +84,6 @@ class PointConfig:
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         points = np.asarray(self.points, dtype=float)
-        if points.ndim == 1 and points.size == 3:
-            points = points.reshape(1, 3)
         if alpha.ndim != 1 or alpha.size < 1:
             raise ConfigError("must be a flat list of at least one number", "/alpha")
         if points.ndim != 2 or points.shape[1] != 3:

@@ -36,19 +36,16 @@ def resolvent_kernel(cfg: PointConfig, z, x, xp):
     return value if value.ndim else complex(value)
 
 
-def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float | None = None) -> float:
+def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float) -> float:
     """|(-Delta_h - z**2) R(., x')|(x) with the 7-point second-order Laplacian.
 
-    Requires dist(x, Y and x') > 10 h; the default step is 1e-2 times that
-    distance, balancing truncation against rounding.  The center and its six
+    Requires h > 0 and dist(x, Y and x') > 10 h.  The center and its six
     neighbours x +- h e_i are one stacked resolvent_kernel call, each point's
     value that of its one-point call bit for bit.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
     clearance = float(_distance(np.vstack([cfg.points, xp]), x).min())
-    if h is None:
-        h = 1e-2 * clearance
     if not h > 0.0:
         raise ValueError("helmholtz_residual requires h > 0")
     if clearance <= 10.0 * h:

@@ -37,9 +37,9 @@ from .model import FOUR_PI, PointConfig
 
 _JITTER = 1e-6
 _JITTER_RETRIES = 5
-# Deep enough to resolve a pole at the minimum jitter distance 1e-6*diameter
-# from a contour edge (the Gauss rule needs panels comparable to the pole
-# clearance before it converges).
+# Refinement stops at depth 26, halves 2**-27 of their edge.  Depth does not
+# resolve every zero near an edge: the halves test can accept panels whose
+# nodes miss the zero's spike, and the box is jittered inward past it (README).
 _MAX_EDGE_DEPTH = 26
 _EDGE_TOL = 2.0 * np.pi * 2.5e-4
 _NEWTON_MAX_STEPS = 50
@@ -169,35 +169,27 @@ class ResonanceSet:
 
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
-    """tr(Gamma(z)^-1 Gamma'(z)) for an array of z of any shape, Gamma' read off Gamma."""
+    """tr(Gamma(z)^-1 Gamma'(z)) for an array of z of any shape, Gamma' read off
+    Gamma; NaN where Gamma(z) is exactly singular.  A batch whose solve meets
+    one is solved again a matrix at a time, each as a batch of one: the same
+    numpy calls as the batch, so every other matrix gives the batch's bits."""
     zs = np.asarray(zs, dtype=complex)
     out = np.empty(zs.size, dtype=complex)
     idx = np.arange(cfg.n)
     for sl, g in model._gamma_batches(cfg, zs.ravel()):
         dg = 1j * cfg.distances * g
         dg[..., idx, idx] = -1j / FOUR_PI
-        out[sl] = np.trace(np.linalg.solve(g, dg), axis1=-2, axis2=-1)
+        try:
+            x = np.linalg.solve(g, dg)
+        except np.linalg.LinAlgError:
+            x = np.full_like(dg, np.nan)
+            for i in range(len(g)):
+                try:
+                    x[i:i + 1] = np.linalg.solve(g[i:i + 1], dg[i:i + 1])
+                except np.linalg.LinAlgError:
+                    pass  # left NaN: Gamma(z) is exactly singular
+        out[sl] = np.trace(x, axis1=-2, axis2=-1)
     return out.reshape(zs.shape)
-
-
-def _node_values(cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr(Gamma^-1 Gamma') at the 16 Gauss-Legendre nodes of each panel
-    a[i] -> b[i]; a row holding a singular node is non-finite.
-
-    All panels share one solve.  When it hits an exactly singular matrix the
-    panels are evaluated one by one, so only the panel holding that node fails.
-    """
-    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_X
-    try:
-        return _trace_logdet(cfg, nodes)
-    except np.linalg.LinAlgError:
-        vals = np.full(nodes.shape, np.nan, dtype=complex)
-        for i, zm in enumerate(nodes):
-            try:
-                vals[i] = _trace_logdet(cfg, zm)
-            except np.linalg.LinAlgError:
-                pass  # left non-finite: the panel fails
-        return vals
 
 
 class _SearchMemo:
@@ -213,34 +205,30 @@ class _SearchMemo:
         self.resolved = 0
         self.split = 0
 
-    def node_values(self, cfg: PointConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        panels = self.panels
-        keys = list(zip(a.tolist(), b.tolist()))
-        new = {}  # panels to evaluate, one orientation each
-        for key in keys:
-            if key not in panels and key[::-1] not in new:
-                new[key] = None
-        if new:
-            za, zb = np.array(list(new)).T
-            for (p, q), v in zip(new, _node_values(cfg, za, zb)):
-                panels[p, q] = v
-                panels[q, p] = v[::-1]
-        self.evaluated += len(new)
-        self.reused += len(keys) - len(new)
-        return np.array([panels[key] for key in keys])
-
 
 def _panel_integrals(cfg: PointConfig, a: np.ndarray, b: np.ndarray, memo: _SearchMemo):
     """16-node Gauss-Legendre integrals of tr(Gamma^-1 Gamma') over the panels
-    a[i] -> b[i], and a mask of the panels with a singular or non-finite node.
-
-    The node values come from the memo: only panels it has not seen, in
-    either orientation, are evaluated, each once per batch.  The nodes of
-    b -> a are those of a -> b in reverse order, bit for bit (the Gauss rule
-    is symmetric and mid and half flip exactly), so the weighted sum of the
-    reversed values is the one a fresh evaluation gives.
-    """
-    vals = memo.node_values(cfg, a, b)
+    a[i] -> b[i], and a mask of the panels with a non-finite node value (NaN
+    where Gamma is exactly singular).  Only panels the memo has not seen, in
+    either orientation, are evaluated, in one _trace_logdet call.  The nodes
+    of b -> a are those of a -> b in reverse order, bit for bit (the Gauss
+    rule is symmetric and mid and half flip exactly), so the memo keeps the
+    reversed values under (b, a): their weighted sum is a fresh evaluation's."""
+    panels = memo.panels
+    keys = list(zip(a.tolist(), b.tolist()))
+    new = {}  # panels to evaluate, one orientation each
+    for key in keys:
+        if key not in panels and key[::-1] not in new:
+            new[key] = None
+    if new:
+        za, zb = np.array(list(new)).T
+        nodes = (0.5 * (za + zb))[:, None] + (0.5 * (zb - za))[:, None] * _GL_X
+        for (p, q), v in zip(new, _trace_logdet(cfg, nodes)):
+            panels[p, q] = v
+            panels[q, p] = v[::-1]
+    memo.evaluated += len(new)
+    memo.reused += len(keys) - len(new)
+    vals = np.array([panels[key] for key in keys])
     half = 0.5 * (b - a)
     s = np.sum(_GL_W * vals, axis=1)
     # half * s written out, like np.hypot in _accept_panels: numpy's SIMD
@@ -401,12 +389,9 @@ def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box
     """Newton on log det from z with steps mult/tr(Gamma^-1 Gamma'); None when an
     iterate leaves the box padded by twice its diameter or no step falls below tol."""
     for _ in range(_NEWTON_MAX_STEPS):
-        try:
-            f = complex(_trace_logdet(cfg, np.array([z]))[0])
-        except np.linalg.LinAlgError:
-            return z  # the iterate landed exactly on the zero set
+        f = complex(_trace_logdet(cfg, np.array([z]))[0])
         if not np.isfinite(f.real) or not np.isfinite(f.imag):
-            return z
+            return z  # NaN where Gamma is exactly singular: z is on the zero set
         if f == 0:
             return None
         step = mult / f

@@ -215,9 +215,8 @@ def _signed(v: np.ndarray) -> np.ndarray:
 def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
     """Locate all negative eigenvalues -lam**2 (lam > 0) with multiplicities.
 
-    The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi], where
-    lam_hi is the Gershgorin bound past which the matrix is positive
-    definite, is bisected with all brackets in one batch per level until
+    The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi] is
+    bisected with all brackets in one batch per level until
     each bracket holds one crossing; safeguarded Newton steps on the
     crossing's eigenvalue curve, from the regula falsi point of the curve's
     values at the bracket's ends, all brackets again in one batch, each
@@ -239,10 +238,19 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
     (batched slogdet calls), the matrices factored (eigvalsh matrices of the
     bisection and LU points of Newton), the records that ran their own eigh,
     the crossings and the records.
+
+    lam_hi = R + max(1, 64 N eps R), R = row_sum_bound(cfg): past R every row
+    of Gamma(i*lam) is strictly dominant with a positive diagonal, so its least
+    eigenvalue is at least (lam - R)/4pi (Gershgorin).  The margin covers the
+    rounding, as 1 alone does not past R = 7e13/N: with L = lam_hi/4pi, the
+    computed matrix is within about 8 eps L in 2-norm, R within 3 eps R, and
+    eigvalsh exact within p(N) eps ||Gamma||_2 <= 2 p(N) eps L, p(N) of order
+    N; the margin's 64 N eps L covers their sum for every p(N) <= 26 N.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("negative_eigenvalues requires a finite tol > 0")
-    lam_hi = row_sum_bound(cfg) + 1.0
+    lam_hi = row_sum_bound(cfg)
+    lam_hi += max(1.0, 64 * cfg.n * np.finfo(float).eps * lam_hi)
     ends = np.array([0.0, lam_hi])
     mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
     if mu[1, 0] <= 0.0:

@@ -508,6 +508,38 @@ def test_unreadable_or_unwritable_paths_are_domain_errors(tmp_path, capsys, argv
     assert (argv[-1] if argv[-2] in ("--out", "--csv") else str(tmp_path)) in line
 
 
+MALFORMED_CONFIGS = {
+    "text_alpha": '{"alpha": ["x"], "points": [[0, 0, 0]]}',
+    "bool_alpha": '{"alpha": [true], "points": [[0, 0, 0]]}',
+    "array": "[1, 2]",
+    "empty_alpha": '{"alpha": [], "points": [[0, 0, 0]]}',
+    "empty_points": '{"alpha": [1.0], "points": []}',
+    "nan_point": '{"alpha": [1.0], "points": [[0, NaN, 0]]}',
+}
+# malformed inputs, each with a part of its one error line
+MALFORMED = {
+    ("spectrum", "text_alpha"): "/alpha/0: must be a number",
+    ("spectrum", "bool_alpha"): "/alpha/0: must be a number",
+    ("spectrum", "array"): "config must be a JSON object",
+    ("spectrum", "empty_alpha"): "/alpha: must be a non-empty list",
+    ("spectrum", "empty_points"): "/points: must be a non-empty list",
+    ("spectrum", "nan_point"): "/points/0/1: must be finite",
+    ("resolvent", "one", "--z", "1", "--x", "1,0,0", "--xp", "0,1,0"):
+        "--z expects 2 comma-separated numbers",
+    ("resolvent", "one", "--z", "a,b", "--x", "1,0,0", "--xp", "0,1,0"): "--z expects numbers",
+    ("certify", "one", "--zmax", "abc"): "--zmax expects 'auto' or a number",
+    ("scan-det", "one", "--axis", "real", "--from", "0", "--to", "1", "--step", "0"):
+        "--step must be positive",
+    ("scan-det", "one", "--axis", "real", "--from", "1", "--to", "0", "--step", "0.1"):
+        "--to must be >= --from",
+    **{
+        ("resolvent", "one", "--z", "1,0", "--x", "1,0,0", "--xp", "0,1,0",
+         "--check-helmholtz", h): "requires h > 0"
+        for h in ("0", "-1", "nan")
+    },
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -537,27 +569,35 @@ def test_unreadable_or_unwritable_paths_are_domain_errors(tmp_path, capsys, argv
         # writes any memory
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1e15", "--step", "1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1e300", "--step", "1"],
+        *map(list, MALFORMED),
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_non_finite_numbers_are_domain_errors(tmp_path, capsys, argv):
     # NaN fails every comparison and inf overflows a grid count; both must be
     # rejected up front instead of giving a wrong answer, a warning or a
-    # traceback
+    # traceback.  So must the malformed values and configs of MALFORMED.
     configs = {
         "one": write_config(tmp_path, [0.0], [[0.0, 0.0, 0.0]], "one.json"),
         "two": write_config(tmp_path, [-1.0, -0.5], [[0, 0, 0], [1, 0, 0]], "two.json"),
     }
+    for name, text in MALFORMED_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        configs[name] = str(tmp_path / f"{name}.json")
+    message = MALFORMED.get(tuple(argv))
     argv = [argv[0], configs[argv[1]], *argv[2:]]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("deltaspec: error:")
     assert "Traceback" not in err
-    if argv[0] == "resolvent":  # the error names the flag
+    assert len(err.splitlines()) == 1
+    if message is not None:  # the error says what is malformed
+        assert message in err
+    elif argv[0] == "resolvent":  # the error names the flag
         [flag] = [f for f, v in zip(argv[2::2], argv[3::2]) if "inf" in v or "nan" in v]
         assert f"{flag} expects finite numbers" in err
-    if argv[0] == "scan-det":
+    elif argv[0] == "scan-det":
         assert "--from, --to and --step" in err
 
 

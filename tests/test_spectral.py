@@ -63,6 +63,14 @@ def test_single_center_negative_alpha():
     np.testing.assert_allclose(np.abs(rec.coefficients[0]), [1.0])
 
 
+@pytest.mark.parametrize("alpha", [-1e15, -1e16, -1e17])
+def test_single_center_huge_negative_alpha(alpha):
+    # past lam = 4 pi 1e15 one ulp is 2: an absolute margin of 1 over the
+    # row-sum bound is lost and the upper bracket is not positive definite
+    [rec] = negative_eigenvalues(PointConfig(alpha=[alpha], points=[ORIGIN])).eigenvalues
+    assert (rec.lam, rec.multiplicity) == (-FOUR_PI * alpha, 1)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 3.0])
 def test_single_center_nonnegative_alpha_empty(alpha):
     cfg = PointConfig(alpha=[alpha], points=[ORIGIN])
