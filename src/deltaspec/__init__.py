@@ -20,7 +20,6 @@ from .model import (
 from .linalg import SingularMatrixError
 from .spectral import (
     LaurentCoefficients,
-    SpectralReport,
     ZeroClassification,
     classify_zero,
     laurent_at_zero,
@@ -44,7 +43,6 @@ __all__ = [
     "green_kernel",
     "gamma_stack",
     "SingularMatrixError",
-    "SpectralReport",
     "ZeroClassification",
     "LaurentCoefficients",
     "negative_eigenvalues",

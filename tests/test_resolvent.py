@@ -141,8 +141,8 @@ def test_helmholtz_residual_second_order():
     z = 1.3 + 0.4j
     x = np.array([2.5, 0.3, -0.2])
     xp = np.array([-1.5, 1.0, 0.8])
-    r_coarse = helmholtz_residual(cfg, z, x, xp, h=1e-2)
-    r_fine = helmholtz_residual(cfg, z, x, xp, h=5e-3)
+    _, r_coarse = helmholtz_residual(cfg, z, x, xp, h=1e-2)
+    _, r_fine = helmholtz_residual(cfg, z, x, xp, h=5e-3)
     assert 3.5 < r_coarse / r_fine < 4.5
 
 
@@ -158,8 +158,8 @@ def test_kernel_of_a_stack_equals_its_point_calls():
 
 
 def test_helmholtz_residual_inverts_gamma_once(monkeypatch):
-    # the seven stencil points share one Gamma^-1, and the residual is the
-    # one the kernel gives point by point
+    # the seven stencil points share one Gamma^-1, and the kernel value and
+    # the residual are the ones the kernel gives point by point
     rng = np.random.default_rng(85)
     cfg = random_config(rng, 3, radius=1.0, min_dist=0.5)
     z, x, xp, h = 1.3 + 0.4j, np.array([2.5, 0.3, -0.2]), np.array([-1.5, 1.0, 0.8]), 1e-2
@@ -172,7 +172,7 @@ def test_helmholtz_residual_inverts_gamma_once(monkeypatch):
     calls = []
     original = resolvent.inverse
     monkeypatch.setattr(resolvent, "inverse", lambda *a: calls.append(a) or original(*a))
-    assert helmholtz_residual(cfg, z, x, xp, h=h) == expected
+    assert helmholtz_residual(cfg, z, x, xp, h=h) == (center, expected)
     assert len(calls) == 1
 
 

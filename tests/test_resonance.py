@@ -119,7 +119,7 @@ def test_eigenvalue_pole_is_cross_labeled():
     assert found.total_count == 1
     assert found.roots[0].kind == EIGENVALUE_POLE
     assert abs(found.roots[0].z - 4j * np.pi) < 1e-8
-    assert found.resonances == ()
+    assert [r for r in found.roots if r.kind == RESONANCE] == []
 
 
 def test_multiplicity_sum_matches_total_count():
@@ -612,24 +612,6 @@ def test_certificate_gram_spd_implies_invertible():
     assert np.all(cert.sigma_min > 0.0)
 
 
-def test_certificate_short_grid_fails_coverage():
-    cfg = one_center(1.0)
-    cert = certify_real_axis(cfg, z_max=1.0)
-    # [0, 1] is proved by dominance
-    np.testing.assert_array_equal(cert.z_grid, [0.0, 1.0])
-    assert cert.dominance_start == 0.0 and cert.min_margin is None
-    assert cert.z_grid[-1] < cert.z_star
-    assert not cert.verdict
-    cert = certify_real_axis(lipschitz_config(), z_max=0.5)
-    assert cert.z_grid[-1] == 0.5 and cert.min_margin > 1.0  # [0, 0.5] is proved
-    assert cert.dominance_start > 0.5 and cert.uncovered == ()
-    assert cert.z_grid[-1] < cert.z_star
-    assert not cert.verdict
-    for z_max in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="z_max > 0"):
-            certify_real_axis(cfg, z_max=z_max)
-
-
 def test_certificate_large_n_gram_precision_exhaustion():
     # for many centers the sinc Gram matrix is numerically indefinite at
     # small z (its exact smallest eigenvalue scales like a high power of z),
@@ -805,25 +787,22 @@ def certificate_digest(cert) -> str:
 
 
 def subset_configs() -> dict:
-    """Name -> (config, z_max): the golden CLI corpus at its certify z_max,
-    and 20 random configs, some with strengths small enough to bisect."""
-    cases = {name.removesuffix(".json"): (cfg, 1.0 if name.startswith("n40") else None)
-             for name, cfg in golden_configs().items()}
+    """Name -> config: the golden CLI corpus and 20 random configs, some with
+    strengths small enough to bisect."""
+    cases = {name.removesuffix(".json"): cfg for name, cfg in golden_configs().items()}
     rng = np.random.default_rng(2026)
     for i in range(20):
         n = int(rng.integers(1, 9))
         scale = float(rng.choice([0.05, 0.5, 5.0]))
-        cases[f"r{i:02d}"] = (
-            random_config(rng, n, radius=2.0, min_dist=0.3, alpha_scale=scale), None
-        )
+        cases[f"r{i:02d}"] = random_config(rng, n, radius=2.0, min_dist=0.3, alpha_scale=scale)
     return cases
 
 
 # certificate_digest of the Lipschitz bisection alone, which certified the
-# whole of [k0, top] before dominance was used
+# whole of [k0, z_star] before dominance was used
 BISECTION_DIGESTS = {
     "n2": "8534f23825a03065", "n3": "26db203f38e45289", "n5": "24b1bd5b4c3b0ec3",
-    "n40": "3cebec5f22754b9b", "n40b": "03cb36f8fe21f7bd", "r00": "b73b8be9714fda9d",
+    "n40": "4b2e59a4b8e292f9", "n40b": "3052903adcd311a5", "r00": "b73b8be9714fda9d",
     "r01": "fb54fd6d055364e7", "r02": "dac08abe79ccaac6", "r03": "9e088b486e22f833",
     "r04": "fb4c2106c97f757c", "r05": "08baa7216974f964", "r06": "f2208a14dccd823a",
     "r07": "21ac73fbc01fc5c3", "r08": "d092db7554edbb5d", "r09": "7ef067928c8c8470",
@@ -839,17 +818,18 @@ def test_dominance_only_drops_bisection_nodes(monkeypatch):
     # with it the nodes are a subset of those, with the same values and verdict
     cases = subset_configs()
     assert sorted(cases) == sorted(BISECTION_DIGESTS)
-    full = {name: certify_real_axis(cfg, z_max=z_max) for name, (cfg, z_max) in cases.items()}
+    full = {name: certify_real_axis(cfg) for name, cfg in cases.items()}
     with monkeypatch.context() as m:
         for module in (model, spectral):
             m.setattr(module, "dominance_start", lambda cfg: np.inf)
-        bisected = {name: certify_real_axis(cfg, z_max=z_max)
-                    for name, (cfg, z_max) in cases.items()}
+        bisected = {name: certify_real_axis(cfg) for name, cfg in cases.items()}
     fewer = 0
     for name, cert in full.items():
         ref = bisected[name]
         assert certificate_digest(ref) == BISECTION_DIGESTS[name], name
         assert ref.dominance_start == np.inf
+        for c in (cert, ref):  # the verdict is the proof of every interval up to z_star
+            assert c.verdict == (c.uncovered == ()) and c.z_grid[-1] == c.z_star, name
         keep = np.isin(ref.z_grid, cert.z_grid)
         assert keep.sum() == cert.z_grid.size, name
         np.testing.assert_array_equal(ref.sigma_min[keep], cert.sigma_min)

@@ -53,9 +53,9 @@ def two_center_branch_roots(a, d):
 
 def test_single_center_negative_alpha():
     cfg = PointConfig(alpha=[-1.0], points=[ORIGIN])
-    report = negative_eigenvalues(cfg)
-    assert len(report.eigenvalues) == 1
-    rec = report.eigenvalues[0]
+    records = negative_eigenvalues(cfg)
+    assert len(records) == 1
+    rec = records[0]
     assert rec.lam == pytest.approx(FOUR_PI, abs=1e-10)
     assert rec.energy == pytest.approx(-((FOUR_PI) ** 2), abs=1e-9)
     assert rec.multiplicity == 1
@@ -67,23 +67,23 @@ def test_single_center_negative_alpha():
 def test_single_center_huge_negative_alpha(alpha):
     # past lam = 4 pi 1e15 one ulp is 2: an absolute margin of 1 over the
     # row-sum bound is lost and the upper bracket is not positive definite
-    [rec] = negative_eigenvalues(PointConfig(alpha=[alpha], points=[ORIGIN])).eigenvalues
+    [rec] = negative_eigenvalues(PointConfig(alpha=[alpha], points=[ORIGIN]))
     assert (rec.lam, rec.multiplicity) == (-FOUR_PI * alpha, 1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 3.0])
 def test_single_center_nonnegative_alpha_empty(alpha):
     cfg = PointConfig(alpha=[alpha], points=[ORIGIN])
-    assert negative_eigenvalues(cfg).eigenvalues == ()
+    assert negative_eigenvalues(cfg) == ()
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
 def test_two_centers_match_branch_oracle(d):
     for a in (-2.0, -1.0, -1.0 / (FOUR_PI * d) - 0.1):
-        report = negative_eigenvalues(two_center_config(a, d))
+        records = negative_eigenvalues(two_center_config(a, d))
         # expand by multiplicity: branches closer than the merge radius are
         # reported as one entry of multiplicity 2
-        got = sorted(rec.lam for rec in report.eigenvalues for _ in range(rec.multiplicity))
+        got = sorted(rec.lam for rec in records for _ in range(rec.multiplicity))
         expect = two_center_branch_roots(a, d)
         assert len(got) == len(expect)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
@@ -93,9 +93,9 @@ def test_reported_kernel_vectors_have_small_residual():
     rng = np.random.default_rng(41)
     for _ in range(10):
         cfg = random_config(rng, int(rng.integers(1, 6)), alpha_scale=3.0)
-        report = negative_eigenvalues(cfg)
-        assert report.total_multiplicity <= cfg.n
-        for rec in report.eigenvalues:
+        records = negative_eigenvalues(cfg)
+        assert sum(rec.multiplicity for rec in records) <= cfg.n
+        for rec in records:
             g = gamma_imag_axis(cfg, rec.lam)
             for c in rec.coefficients:
                 assert np.linalg.norm(g @ c) <= 1e-8
@@ -107,9 +107,9 @@ def test_count_matches_negative_inertia_near_zero():
         cfg = random_config(rng, int(rng.integers(1, 7)), alpha_scale=3.0)
         if classify_zero(cfg).label != REGULAR:
             continue
-        report = negative_eigenvalues(cfg)
+        records = negative_eigenvalues(cfg)
         inertia = int(np.sum(np.linalg.eigvalsh(gamma_imag_axis(cfg, 1e-6)) < 0.0))
-        assert report.total_multiplicity == inertia
+        assert sum(rec.multiplicity for rec in records) == inertia
 
 
 def test_ordered_eigenvalue_curves_increase():
@@ -143,11 +143,11 @@ def test_degenerate_crossings_merge():
     d = 1.0
     pts = [[0, 0, 0], [d, 0, 0], [d / 2, d * np.sqrt(3) / 2, 0]]
     cfg = PointConfig(alpha=[-0.3, -0.3, -0.3], points=pts)
-    report = negative_eigenvalues(cfg)
-    assert report.total_multiplicity == 3
-    mults = sorted(rec.multiplicity for rec in report.eigenvalues)
+    records = negative_eigenvalues(cfg)
+    assert sum(rec.multiplicity for rec in records) == 3
+    mults = sorted(rec.multiplicity for rec in records)
     assert mults == [1, 2]
-    for rec in report.eigenvalues:
+    for rec in records:
         assert len(rec.coefficients) == rec.multiplicity
 
 
@@ -222,7 +222,7 @@ def reference_configs():
 @functools.cache
 def reference_case(index):
     cfg = reference_configs()[index]
-    return per_curve_reference(cfg), negative_eigenvalues(cfg).eigenvalues
+    return per_curve_reference(cfg), negative_eigenvalues(cfg)
 
 
 @pytest.mark.parametrize("index", range(len(reference_configs())))
@@ -253,7 +253,7 @@ def test_newton_crossings_match_per_curve_reference_within_its_bracket_width(ind
 def test_clustered_reference_config_has_three_quarters_bound_states():
     cfg = reference_configs()[-1]
     assert cfg.n == 48
-    assert negative_eigenvalues(cfg).total_multiplicity == 36
+    assert sum(rec.multiplicity for rec in negative_eigenvalues(cfg)) == 36
 
 
 _SUMMARY = re.compile(
@@ -274,9 +274,9 @@ def counted_spectrum(monkeypatch, caplog, cfg):
 
         monkeypatch.setattr(np.linalg, name, counted)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-        report = negative_eigenvalues(cfg)
+        records = negative_eigenvalues(cfg)
     summary = tuple(map(int, _SUMMARY.fullmatch(caplog.messages[-1]).groups()))
-    return report, calls, summary
+    return records, calls, summary
 
 
 def spied_points(monkeypatch):
@@ -294,9 +294,9 @@ def spied_points(monkeypatch):
 
 
 def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
-    levels, steps, matrices, solved, crossings, records = summary
-    assert report.total_multiplicity == 24
+    records, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    levels, steps, matrices, solved, crossings, n_records = summary
+    assert sum(rec.multiplicity for rec in records) == 24
     # the per-curve bisection made about 24 * 45 calls, one matrix each
     assert len(calls["eigvalsh"]) <= 64
     # one eigvalsh for the two ends and one per bisection level; one slogdet
@@ -308,7 +308,7 @@ def test_one_spectrum_takes_one_eigvalsh_call_per_level(monkeypatch, caplog):
     assert calls["solve"] == [first, first, *rest]
     assert calls["eigh"] == []
     assert matrices == sum(int(np.prod(shape)) for shape in calls["eigvalsh"] + calls["slogdet"])
-    assert (crossings, records) == (24, len(report.eigenvalues))
+    assert (crossings, n_records) == (24, len(records))
 
 
 def test_clustered_spectrum_factors_at_most_80_matrices(monkeypatch, caplog):
@@ -319,8 +319,8 @@ def test_clustered_spectrum_factors_at_most_80_matrices(monkeypatch, caplog):
     # each Newton point, which one slogdet factors (its solves factor the
     # same matrix again, one each, two at the first step, so the LU
     # factorizations are fixed by the points: 2 * 44 + 24 = 112 here)
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
-    assert report.total_multiplicity == 24
+    records, calls, summary = counted_spectrum(monkeypatch, caplog, clustered_config(32, 32))
+    assert sum(rec.multiplicity for rec in records) == 24
     factored = calls["eigvalsh"] + calls["eigh"] + calls["slogdet"]
     assert summary[2] == sum(int(np.prod(shape)) for shape in factored) <= 80
     first, *rest = calls["slogdet"]
@@ -334,12 +334,12 @@ def test_simple_records_take_their_vectors_from_newton(monkeypatch, caplog):
     # rounding, with its largest-|entry| component positive (no two entries
     # are within 1e-12 of each other here)
     cfg = clustered_config(32, 32)
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
-    levels, steps, matrices, solved, crossings, records = summary
-    assert [rec.multiplicity for rec in report.eigenvalues] == [1] * 24
+    records, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    levels, steps, matrices, solved, crossings, n_records = summary
+    assert [rec.multiplicity for rec in records] == [1] * 24
     assert (solved, calls["eigh"]) == (0, [])
     assert len(calls["slogdet"]) == steps
-    for rec in report.eigenvalues:
+    for rec in records:
         g = gamma_imag_axis(cfg, rec.lam)
         (v,) = rec.coefficients
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
@@ -355,12 +355,12 @@ def test_antisymmetric_state_gets_its_own_vector(monkeypatch, caplog):
     # bisects for four times as many steps.  Its two entries are equally
     # large, so the sign rule makes the first positive
     cfg = two_center_config(-0.3, 0.5)
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
-    assert [rec.multiplicity for rec in report.eigenvalues] == [1, 1]
+    records, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    assert [rec.multiplicity for rec in records] == [1, 1]
     assert summary == (4, 3, 12, 0, 2, 2)
-    (v,) = report.eigenvalues[0].coefficients
+    (v,) = records[0].coefficients
     assert np.linalg.norm(v - np.array([1.0, -1.0]) / np.sqrt(2.0)) <= 1e-14
-    g = gamma_imag_axis(cfg, report.eigenvalues[0].lam)
+    g = gamma_imag_axis(cfg, records[0].lam)
     assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
 
 
@@ -371,8 +371,8 @@ def test_exactly_singular_newton_point_takes_its_vector_from_one_eigh(monkeypatc
     # one eigh of that matrix alone gives the vector
     cfg = PointConfig(alpha=[-1.0], points=[ORIGIN])
     assert gamma_imag_axis(cfg, FOUR_PI).tolist() == [[0.0]]
-    report, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
-    (rec,) = report.eigenvalues
+    records, calls, summary = counted_spectrum(monkeypatch, caplog, cfg)
+    (rec,) = records
     assert rec.lam == FOUR_PI
     assert (calls["slogdet"], calls["eigh"]) == ([(1,)], [(1,)])
     assert sum(int(np.prod(shape)) for shape in calls["solve"]) == 0
@@ -411,7 +411,7 @@ def test_newton_point_whose_solve_overflows_takes_its_vector_from_one_eigh(monke
     assert np.isfinite(v).all() and abs(v[0]) == 1.0
     assert np.linalg.norm(g @ v) <= 1e-14 * np.linalg.norm(g, 2)
     monkeypatch.undo()
-    for rec in negative_eigenvalues(cfg).eigenvalues:
+    for rec in negative_eigenvalues(cfg):
         assert np.isfinite(rec.coefficients).all()
 
 
@@ -465,7 +465,7 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-        report = negative_eigenvalues(cfg)
+        records = negative_eigenvalues(cfg)
     lam_hi = row_sum_bound(cfg) + 1.0
     assert points[0] == [0.0, lam_hi]  # the ends; the inertia drops by 3
     # five levels leave (lam_hi/4, lam_hi/2), (h, 2h) and (0, h), h = lam_hi/32,
@@ -510,7 +510,7 @@ def test_newton_step_that_leaves_its_bracket_is_bisected(monkeypatch, caplog):
         "spectrum: 5 bisection levels, 10 Newton steps, 26 matrices factored, "
         "0 eigh by records, 3 crossings, 3 records"
     ]
-    got = [rec.lam for rec in report.eigenvalues]
+    got = [rec.lam for rec in records]
     expect = [lam for lam, *_ in per_curve_reference(cfg)]
     assert len(got) == 3
     assert all(abs(g - e) <= 5e-14 * (1.0 + e) for g, e in zip(got, expect))
@@ -538,9 +538,9 @@ def test_spectrum_logs_merges_across_brackets(caplog):
     # differ by about 1e-11, more than a final bracket is wide and less than
     # the merge radius, so the tol merge sets the multiplicity
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-        report = negative_eigenvalues(two_center_config(-1.0, 2.0))
-    assert [rec.multiplicity for rec in report.eigenvalues] == [2]
-    lam = report.eigenvalues[0].lam
+        records = negative_eigenvalues(two_center_config(-1.0, 2.0))
+    assert [rec.multiplicity for rec in records] == [2]
+    lam = records[0].lam
     assert caplog.messages == [
         f"merging 2 crossings from 2 brackets into lam {lam!r}: the merge radius "
         "tol*(1+lam), not an inertia jump, sets the multiplicity",
@@ -556,8 +556,8 @@ def test_spectrum_multiplicity_from_one_inertia_jump_is_not_logged_as_merge(capl
     # 10 apart the two crossings agree to rounding and share one final
     # bracket: the inertia jumps by 2 there, and no merge is logged
     with caplog.at_level(logging.DEBUG, logger="deltaspec.spectral"):
-        report = negative_eigenvalues(two_center_config(-1.0, 10.0))
-    assert [rec.multiplicity for rec in report.eigenvalues] == [2]
+        records = negative_eigenvalues(two_center_config(-1.0, 10.0))
+    assert [rec.multiplicity for rec in records] == [2]
     assert len(caplog.messages) == 1
     assert caplog.messages[0].endswith(", 2 crossings, 1 records")
 
