@@ -140,7 +140,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _cmd_spectrum(cfg, args) -> dict:
-    records = spectral.negative_eigenvalues(cfg, tol=args.tol)
+    records = spectral.negative_eigenvalues(cfg)
     return {
         "eigenvalues": [
             {
@@ -155,7 +155,7 @@ def _cmd_spectrum(cfg, args) -> dict:
 
 
 def _cmd_classify_zero(cfg, args) -> dict:
-    cls = spectral.classify_zero(cfg, tol=args.tol)
+    cls = spectral.classify_zero(cfg)
     return {
         "label": cls.label,
         "kernel_dim": cls.kernel_dim,
@@ -181,7 +181,7 @@ def _cmd_laurent(cfg, args) -> dict:
 
 def _cmd_resonances(cfg, args) -> dict:
     box = resonance.Box(*args.box)
-    found = resonance.find_resonances(cfg, box, tol=args.tol)
+    found = resonance.find_resonances(cfg, box)
     return {
         "box": {
             "re_min": found.searched.re_min,
@@ -308,11 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("spectrum", _cmd_spectrum, help="negative eigenvalues with multiplicities")
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = add("classify-zero", _cmd_classify_zero, help="threshold status at z = 0")
-    p.add_argument("--tol", type=float, default=1e-10)
+    add("spectrum", _cmd_spectrum, help="negative eigenvalues with multiplicities")
+    add("classify-zero", _cmd_classify_zero, help="threshold status at z = 0")
 
     p = add("laurent", _cmd_laurent, help="Laurent coefficients of Gamma^-1 at 0")
     p.set_defaults(radius=1e-2)  # an output key, not an option: see _cmd_laurent
@@ -325,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
     )
-    p.add_argument("--tol", type=float, default=1e-10)
 
     add("certify", _cmd_certify, help="proof that Gamma is invertible on the real axis")
 

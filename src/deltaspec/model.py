@@ -57,9 +57,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _distance(x, y) -> np.ndarray:
     """|x - y| over the last axis of broadcasting stacks of 3-vectors: the one
-    rounding of a distance, so Gamma and the free kernel agree bit for bit."""
-    d = np.subtract(x, y, dtype=float)
-    return np.sqrt(np.einsum("...k,...k->...", d, d))
+    rounding of a distance, so Gamma and the free kernel agree bit for bit; one
+    that overflows is inf, without a warning, for its caller to reject."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(x, y, dtype=float)
+        return np.sqrt(np.einsum("...k,...k->...", d, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +139,7 @@ def green_kernel(z, x, y):
     Raises SingularityError when any x == y, and ValueError when any |x-y| is
     not finite.
     """
-    with np.errstate(over="ignore"):
-        r = _distance(x, y)
+    r = _distance(x, y)
     if (r == 0.0).any():
         raise SingularityError("green_kernel evaluated at x == y")
     if not np.isfinite(r).all():
@@ -198,14 +199,17 @@ def gamma_imag_axis(cfg: PointConfig, ts) -> np.ndarray:
 
 
 def row_sum_bound(cfg: PointConfig) -> float:
-    """4 pi max|alpha| + (N-1)/d_min.
+    """4 pi max|alpha| + (N-1)/d_min; ValueError where that overflows.
 
     For real |z| above this value the diagonal -iz/4pi dominates every row of
     Gamma(z), so the matrix is invertible; the same bound caps the imaginary
     semi-axis region where eigenvalue poles can sit.
     """
     reach = 0.0 if cfg.n == 1 else (cfg.n - 1) / cfg.d_min
-    return float(FOUR_PI * np.abs(cfg.alpha).max() + reach)
+    bound = FOUR_PI * float(np.abs(cfg.alpha).max()) + reach  # Python floats: no overflow warning
+    if not np.isfinite(bound):
+        raise ValueError("the row-sum bound 4 pi max|alpha| + (N-1)/d_min overflows")
+    return bound
 
 
 def dominance_start(cfg: PointConfig) -> float:

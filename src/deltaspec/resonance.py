@@ -42,6 +42,8 @@ _JITTER_RETRIES = 5
 # nodes miss the zero's spike, and the box is jittered inward past it (README).
 _MAX_EDGE_DEPTH = 26
 _EDGE_TOL = 2.0 * np.pi * 2.5e-4
+# Newton's last step and the least distance between the roots of one box
+_TOL = 1e-10
 _NEWTON_MAX_STEPS = 50
 # Moment step: Hankel singular values (relative) below _RANK_GAP[0] are noise,
 # above _RANK_GAP[1] distinct zeros; multiplicities within _MULT_TOL of integers.
@@ -381,9 +383,9 @@ def _split_counted(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     raise SubdivisionError("no admissible quadrisection found")
 
 
-def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box):
+def _newton_polish(cfg: PointConfig, z: complex, mult: int, box: Box):
     """Newton on log det from z with steps mult/tr(Gamma^-1 Gamma'); None when an
-    iterate leaves the box padded by twice its diameter or no step falls below tol."""
+    iterate leaves the box padded by twice its diameter or no step falls below _TOL."""
     for _ in range(_NEWTON_MAX_STEPS):
         f = complex(_trace_logdet(cfg, np.array([z]))[0])
         if not np.isfinite(f.real) or not np.isfinite(f.imag):
@@ -394,12 +396,12 @@ def _newton_polish(cfg: PointConfig, z: complex, mult: int, tol: float, box: Box
         z = z - step
         if not box.contains(z, pad=2.0 * box.diameter):
             return None
-        if abs(step) < tol:
+        if abs(step) < _TOL:
             return z
     return None
 
 
-def _moment_roots(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
+def _moment_roots(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     """(roots, None) for a counted box, or (None, reason) when unresolved.
     The rank of H0 = [s_(i+j)], of the power sums s_p, p < 2 count, is the
     number of distinct zeros, the pencil ([s_(i+j+1)], H0) reduced to it gives
@@ -420,41 +422,41 @@ def _moment_roots(cfg: PointConfig, box: Box, count: int, tol: float, memo: _Sea
         return None, f"multiplicity: fitted {np.round(fit, 4).tolist()}"
     roots = []
     for wj, mult in zip(w.tolist(), mults.tolist()):
-        z = _newton_polish(cfg, center + scale * wj, mult, tol, box)
-        if z is None or not box.contains(z) or any(abs(z - r) <= tol for r, _ in roots):
+        z = _newton_polish(cfg, center + scale * wj, mult, box)
+        if z is None or not box.contains(z) or any(abs(z - r) <= _TOL for r, _ in roots):
             return None, f"polish: the estimate {center + scale * wj} of multiplicity {mult}"
         roots.append((z, mult))
     return roots, None
 
 
-def _locate(cfg: PointConfig, box: Box, count: int, tol: float, memo: _SearchMemo):
+def _locate(cfg: PointConfig, box: Box, count: int, memo: _SearchMemo):
     """Zeros of a counted box by its moment step, else by quadrisection down
-    to boxes narrower than max(10 tol, 1e-12), each reported as its center."""
+    to boxes narrower than 1e-9, each reported as its center."""
     if count == 0:
         return []
-    roots, reason = _moment_roots(cfg, box, count, tol, memo)
+    roots, reason = _moment_roots(cfg, box, count, memo)
     if roots is not None:
         memo.resolved += 1
         return roots
-    if box.diameter < max(10.0 * tol, 1e-12):
+    if box.diameter < 1e-9:
         return [(box.center, count)]
     memo.split += 1
     logger.debug("quadrisecting %s, count %d: %s", box, count, reason)
     found = []
     for child, k in _split_counted(cfg, box, count, memo):
-        found.extend(_locate(cfg, child, k, tol, memo))
+        found.extend(_locate(cfg, child, k, memo))
     return found
 
 
-def _classify_root(z: complex, tol: float) -> str:
-    if abs(z) <= max(100.0 * tol, 1e-8):
+def _classify_root(z: complex) -> str:
+    if abs(z) <= 1e-8:
         return THRESHOLD
     if z.imag > 0.0 and abs(z.real) <= 1e-8 * (1.0 + abs(z.imag)):
         return EIGENVALUE_POLE
     return RESONANCE
 
 
-def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> ResonanceSet:
+def find_resonances(cfg: PointConfig, box: Box) -> ResonanceSet:
     """Locate all zeros of det Gamma inside the box: count it, find its zeros
     from the power sums of its contour and polish them by Newton steps; a box
     whose zeros these do not resolve is quadrisected (logged at DEBUG with its
@@ -465,15 +467,13 @@ def find_resonances(cfg: PointConfig, box: Box, tol: float = 1e-10) -> Resonance
     "threshold" and belongs to classify_zero.  One DEBUG line per call gives
     the boxes resolved and quadrisected and the work done.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("find_resonances requires a finite tol > 0")
     memo = _SearchMemo()
     searched, total = _counted_box(cfg, box, memo)
-    located = _locate(cfg, searched, total, tol, memo)
+    located = _locate(cfg, searched, total, memo)
     dets, sigmas = _det_and_sigma_min(cfg, np.array([z for z, _ in located], dtype=complex))
     # float(abs(d)) on each det scalar, not the vectorised complex abs: see _panel_integrals
     roots = sorted(
-        (RootRecord(z, mult, float(abs(d)), float(s), _classify_root(z, tol))
+        (RootRecord(z, mult, float(abs(d)), float(s), _classify_root(z))
          for (z, mult), d, s in zip(located, dets, sigmas)),
         key=lambda r: (r.z.real, r.z.imag),
     )

@@ -39,6 +39,8 @@ REGULAR = "Regular"
 ZERO_RESONANCE = "ZeroResonance"
 ZERO_EIGENVALUE = "ZeroEigenvalue"
 MIXED = "Mixed"
+# negative_eigenvalues' threshold and merge radius, classify_zero's kernel cut
+_TOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +104,7 @@ def _inertia_brackets(cfg: PointConfig, ts: np.ndarray, mu: np.ndarray):
         lo, hi, mu_lo, mu_hi = lo[~stop], hi[~stop], mu_lo[~stop], mu_hi[~stop]
         if not lo.size:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # the halves, not the sum: it may overflow
         mu_mid = np.linalg.eigvalsh(gamma_imag_axis(cfg, mid))
         levels, matrices = levels + 1, matrices + mid.size
         n_mid = np.count_nonzero(mu_mid < 0.0, axis=-1)
@@ -153,8 +155,9 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
     matrix alone.  Returns the crossings, the vectors of the last points
     factored (each within 5e-14 * (1 + x) of its crossing), the number of
     steps (slogdet calls) and of points factored."""
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    x = np.where((f_hi > 0.0) & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    with np.errstate(over="ignore"):  # an overflow is not inside (lo, hi): the midpoint
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where((f_hi > 0.0) & (lo < x) & (x < hi), x, 0.5 * lo + 0.5 * hi)
     prev = hi - lo
     b = np.random.default_rng(0).standard_normal(cfg.n)
     b = np.tile(b / np.linalg.norm(b), (x.size, 1))
@@ -183,7 +186,7 @@ def _newton_crossings(cfg: PointConfig, lo, hi, k, f_lo, f_hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - np.einsum("bi,bi->b", b, y) / (scale * slope)
         newton = (lo <= new) & (new <= hi) & (np.abs(new - x) <= 0.5 * prev)
-        new = np.where(newton, new, 0.5 * (lo + hi))
+        new = np.where(newton, new, 0.5 * lo + 0.5 * hi)
         step = np.abs(new - x)
         width = 5e-14 * (1.0 + new)
         stop = (step <= width) | (hi - lo <= width)
@@ -202,33 +205,31 @@ def _signed(v: np.ndarray) -> np.ndarray:
     return _frozen(v * np.sign(v[np.argmax(size >= (1.0 - 1e-12) * size.max())]))
 
 
-def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> tuple[EigenvalueRecord, ...]:
+def negative_eigenvalues(cfg: PointConfig) -> tuple[EigenvalueRecord, ...]:
     """All negative eigenvalues -lam**2 (lam > 0) with multiplicities, one
-    record each in ascending lam.
+    record each in ascending lam; ValueError where lam_hi overflows.
 
     The number of negative eigenvalues of Gamma(i*lam) on [0, lam_hi] is
-    bisected with all brackets in one batch per level until
-    each bracket holds one crossing; safeguarded Newton steps on the
-    crossing's eigenvalue curve, from the regula falsi point of the curve's
-    values at the bracket's ends, all brackets again in one batch, each
-    point one batched slogdet and one batched solve (two at the first
-    point), then take it to within 5e-14 * (1 + lam).  A bracket whose
-    inertia jumps by m >= 2 at width 5e-14 * (1 + lam) gives m crossings at
-    its midpoint.  `tol`
-    still governs the merging of near-degenerate crossings (merge radius
-    tol*(1+lam); a merge of crossings from different brackets is logged at
-    DEBUG, since a heuristic then sets the multiplicity) and the threshold
-    below which a crossing belongs to z = 0.  A simple record, one Newton
-    crossing merged with no other, carries the inverse-iteration vector of
-    the last point Newton factored, within 5e-14 * (1 + lam) of lam; a
-    record of multiplicity m >= 2 carries the m eigenvectors of its own eigh
-    of Gamma(i*lam) with the smallest |eigenvalue|.  Every vector has its
-    largest-|entry| component positive (the first of them, where several
-    are largest to within 1e-12).  One DEBUG line per call on
-    `deltaspec.spectral` gives the bisection levels, the Newton steps
-    (batched slogdet calls), the matrices factored (eigvalsh matrices of the
-    bisection and LU points of Newton), the records that ran their own eigh,
-    the crossings and the records.
+    bisected with all brackets in one batch per level until each bracket
+    holds one crossing; safeguarded Newton steps on the crossing's eigenvalue
+    curve, from the regula falsi point of the curve's values at the bracket's
+    ends, all brackets again in one batch, each point one batched slogdet and
+    one batched solve (two at the first point), then take it to within
+    5e-14 * (1 + lam).  A bracket whose inertia jumps by m >= 2 at width
+    5e-14 * (1 + lam) gives m crossings at its midpoint.  Crossings within
+    1e-10 * (1 + lam) of each other merge into one record (a merge of
+    crossings from different brackets is logged at DEBUG, since a heuristic
+    then sets the multiplicity); a crossing at lam <= 1e-10 belongs to z = 0.
+    A simple record, one Newton crossing merged with no other, carries the
+    inverse-iteration vector of the last point Newton factored, within
+    5e-14 * (1 + lam) of lam; a record of multiplicity m >= 2 carries the m
+    eigenvectors of its own eigh of Gamma(i*lam) with the smallest
+    |eigenvalue|.  Every vector has its largest-|entry| component positive
+    (the first of them, where several are largest to within 1e-12).  One
+    DEBUG line per call on `deltaspec.spectral` gives the bisection levels,
+    the Newton steps (batched slogdet calls), the matrices factored (eigvalsh
+    matrices of the bisection and LU points of Newton), the records that ran
+    their own eigh, the crossings and the records.
 
     lam_hi = R + max(1, 64 N eps R), R = row_sum_bound(cfg): past R every row
     of Gamma(i*lam) is strictly dominant with a positive diagonal, so its least
@@ -238,10 +239,11 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> tuple[Eigenval
     eigvalsh exact within p(N) eps ||Gamma||_2 <= 2 p(N) eps L, p(N) of order
     N; the margin's 64 N eps L covers their sum for every p(N) <= 26 N.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("negative_eigenvalues requires a finite tol > 0")
     lam_hi = row_sum_bound(cfg)
-    lam_hi += max(1.0, 64 * cfg.n * np.finfo(float).eps * lam_hi)
+    with np.errstate(over="ignore"):
+        lam_hi += max(1.0, 64 * cfg.n * np.finfo(float).eps * lam_hi)
+    if not np.isfinite(lam_hi):
+        raise ValueError("the upper bisection bracket end overflows")
     ends = np.array([0.0, lam_hi])
     mu = np.linalg.eigvalsh(gamma_imag_axis(cfg, ends))
     if mu[1, 0] <= 0.0:
@@ -251,18 +253,17 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> tuple[Eigenval
     polished, vectors, steps, factored = _newton_crossings(
         cfg, lo[one], hi[one], n_hi[one], f_lo[one], f_hi[one]
     )
-    lams = np.concatenate([polished, np.repeat(0.5 * (lo + hi)[~one], jumps[~one])])
+    lams = np.concatenate([polished, np.repeat((0.5 * lo + 0.5 * hi)[~one], jumps[~one])])
 
-    # Crossings at lam <= tol belong to the threshold, not the spectrum.
     order = np.argsort(lams)
-    order = order[lams[order] > tol]
+    order = order[lams[order] > _TOL]
     crossings = lams[order].tolist()
 
     records, solved = [], 0
     i = 0
     while i < len(crossings):
         j = i + 1
-        while j < len(crossings) and crossings[j] - crossings[i] <= tol * (1.0 + crossings[j]):
+        while j < len(crossings) and crossings[j] - crossings[i] <= _TOL * (1.0 + crossings[j]):
             j += 1
         group = crossings[i:j]
         lam_star = float(np.mean(group))
@@ -270,7 +271,7 @@ def negative_eigenvalues(cfg: PointConfig, tol: float = 1e-10) -> tuple[Eigenval
         if group[0] != group[-1]:
             logger.debug(
                 "merging %d crossings from %d brackets into lam %r: the merge radius "
-                "tol*(1+lam), not an inertia jump, sets the multiplicity",
+                "1e-10 (1 + lam), not an inertia jump, sets the multiplicity",
                 mult, len(set(group)), lam_star,
             )
         if mult == 1:  # a jump of m >= 2 gives m equal crossings, so this one is Newton's
@@ -313,7 +314,7 @@ class ZeroClassification:
     kernel: tuple[np.ndarray, ...]
 
 
-def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
+def classify_zero(cfg: PointConfig) -> ZeroClassification:
     """Classify z = 0 as Regular / ZeroResonance / ZeroEigenvalue / Mixed.
 
     The coefficient-sum criterion: a kernel vector of Gamma(0) yields a
@@ -321,29 +322,28 @@ def classify_zero(cfg: PointConfig, tol: float = 1e-10) -> ZeroClassification:
     tails of the constituent kernels then cancel).  Both the kernel structure
     and the label are reported, never conflated.
 
-    The kernel is the eigenvectors of Gamma(0) whose eigenvalues are within
-    tol of its largest in modulus, each signed as negative_eigenvalues signs
-    its coefficient vectors.  A Gamma(0) whose rows are all strictly
-    diagonally dominant, dominance_start(cfg) == 0, is Regular at every tol
-    without an eigh: by Varah's bound its smallest singular value is at least
-    min_j (|alpha_j| - r_j) > 0, with the rounding argued in dominance_start,
-    however small that is next to its largest eigenvalue.
+    The kernel is the eigenvectors of Gamma(0) whose eigenvalues are at most
+    1e-10 times its largest in modulus, each signed as negative_eigenvalues
+    signs its coefficient vectors, and it holds a resonant direction when its
+    projection on the unit vector of ones exceeds 1e-10.  A Gamma(0) whose
+    rows are all strictly diagonally dominant, dominance_start(cfg) == 0, is
+    Regular without an eigh: by Varah's bound its smallest singular value is
+    at least min_j (|alpha_j| - r_j) > 0, the rounding argued in
+    dominance_start, however small that is next to its largest eigenvalue.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("classify_zero requires a finite tol > 0")
     if dominance_start(cfg) == 0.0:
         return ZeroClassification(0, 0, False, REGULAR, ())
     # Gamma(0) is exactly symmetric, since cfg.distances is, so eigh, which
     # reads one triangle, sees all of it.
     values, vectors = np.linalg.eigh(gamma_imag_axis(cfg, 0.0))
-    keep = np.flatnonzero(np.abs(values) <= tol * np.abs(values).max())
+    keep = np.flatnonzero(np.abs(values) <= _TOL * np.abs(values).max())
     kernel = tuple(_signed(vectors[:, int(k)]) for k in keep)
     kdim = len(kernel)
     if kdim == 0:
         return ZeroClassification(0, 0, False, REGULAR, ())
     ones = np.ones(cfg.n) / np.sqrt(cfg.n)
     overlap = float(np.sqrt(sum(float(v @ ones) ** 2 for v in kernel)))
-    resonance = overlap > tol
+    resonance = overlap > _TOL
     mult = kdim - 1 if resonance else kdim
     if mult == 0:
         label = ZERO_RESONANCE
@@ -365,8 +365,7 @@ class LaurentCoefficients:
 
 def laurent_at_zero(cfg: PointConfig) -> LaurentCoefficients:
     """Laurent coefficients A_-2, A_-1 of Gamma(z)**-1 at z = 0, in closed form
-    from the kernel V of Gamma(0) that classify_zero takes at its default tol,
-    so the two agree on the structure of the threshold.
+    from classify_zero's kernel V of Gamma(0): the two agree on the threshold.
 
     Gamma(z) = sum_n G_n z**n with G_1 = -(i/4pi) 1 1^T, G_2 = D/8pi and
     G_3 = i D**2/24pi (entrywise square), D = cfg.distances with its zero

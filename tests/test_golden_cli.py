@@ -330,6 +330,7 @@ REPORTS = {
 
 
 def _generate() -> None:
+    from deltaspec import resonance
     from test_golden import report_changes
 
     GOLDEN.mkdir(exist_ok=True)
@@ -345,8 +346,7 @@ def _generate() -> None:
         elif old == text:
             print(f"{name}: unchanged")
         elif argv[0] == "resonances":
-            tol = float(json.loads(text)["manifest"]["parameters"]["tol"])
-            for line in report_changes(_search_record(old), _search_record(text), tol):
+            for line in report_changes(_search_record(old), _search_record(text), resonance._TOL):
                 print(f"{name}: {line}")
         elif argv[0] in REPORTS:
             for line in REPORTS[argv[0]](old, text):

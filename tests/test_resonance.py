@@ -320,9 +320,9 @@ def test_box_whose_every_jitter_keeps_the_singular_node_raises():
 def test_newton_polish_stops_on_an_exact_zero_and_outside_its_box():
     *_, node, cfg = singular_node_config()
     box = Box(-1.0, 1.0, -20.0, -1.0)
-    assert same_bits(_newton_polish(cfg, node, 1, 1e-10, box), node)
+    assert same_bits(_newton_polish(cfg, node, 1, box), node)
     # one step from 1.5 - 0.5i lands on the zero -4 pi i, outside the padded box
-    assert _newton_polish(one_center(1.0), 1.5 - 0.5j, 1, 1e-10, Box(1.0, 2.0, -1.0, 0.0)) is None
+    assert _newton_polish(one_center(1.0), 1.5 - 0.5j, 1, Box(1.0, 2.0, -1.0, 0.0)) is None
 
 
 @pytest.mark.xfail(strict=True, reason="a zero within 1e-6 diameter of an edge is "
@@ -510,10 +510,10 @@ def test_tangent_zero_on_the_axis_falls_back(monkeypatch, caplog):
     box = Box(-0.1, 0.1, -0.1, 0.1)
     original = resonance._moment_roots
 
-    def refuse_full_box(cfg, searched, count, tol, memo):
+    def refuse_full_box(cfg, searched, count, memo):
         if searched == box:
             return None, "rank: refused"
-        return original(cfg, searched, count, tol, memo)
+        return original(cfg, searched, count, memo)
 
     monkeypatch.setattr(resonance, "_moment_roots", refuse_full_box)
     with caplog.at_level(logging.DEBUG, logger="deltaspec.resonance"):
@@ -523,7 +523,7 @@ def test_tangent_zero_on_the_axis_falls_back(monkeypatch, caplog):
     assert found.total_count == 2
     [root] = found.roots
     assert root.multiplicity == 2
-    # the child box is not centred on the zero; Newton stops at the search tol
+    # the child box is not centred on the zero; Newton stops at resonance._TOL
     assert abs(root.z) <= 1e-10
     assert root.kind == "threshold"
 
